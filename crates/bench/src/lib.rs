@@ -10,9 +10,11 @@
 //!
 //! * `CYCLONE_SHOTS` — Monte-Carlo shots per LER point (default 400; the paper samples
 //!   until `> 10 / LER` shots, which is far more than a CI run should attempt).
-//! * `CYCLONE_THREADS` — worker-thread count for the point-level sweep pool (default
-//!   0 = available parallelism). Results are bit-identical at every setting; pin it
-//!   in CI or on shared machines to bound CPU use.
+//! * `CYCLONE_THREADS` — worker-thread count for the sweep pool (default 0 =
+//!   available parallelism, at most 16; explicit counts are clamped to 256).
+//!   Workers claim whole points, then share the 64-shot chunks of the points still
+//!   running. Results are bit-identical at every setting; pin it in CI or on
+//!   shared machines to bound CPU use.
 //! * `CYCLONE_FULL` — set to `1` to run the full code catalog (including
 //!   `[[625,25,8]]` and `[[144,12,12]]`) instead of the quick subset.
 //! * `CYCLONE_CSV` — set to `1` to print comma-separated values instead of aligned

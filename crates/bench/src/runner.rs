@@ -12,7 +12,7 @@
 //!
 //! * `--shots N` — Monte-Carlo shots per LER point (`CYCLONE_SHOTS`); the fixed
 //!   budget, and the adaptive mode's reference for the default shot cap.
-//! * `--threads N` — point-level sweep pool size, 0 = auto (`CYCLONE_THREADS`).
+//! * `--threads N` — sweep pool size, 0 = auto (`CYCLONE_THREADS`).
 //! * `--full` — run the full code catalog (`CYCLONE_FULL=1`). Full runs sample
 //!   **adaptively** by default (see below).
 //! * `--quick` — shorthand for `--shots 50`.

@@ -1,13 +1,14 @@
 //! The scenario sweep engine: declarative figure specifications executed across a
-//! shared worker pool at operating-point granularity, with a JSON result cache.
+//! shared worker pool, with a JSON result cache.
 //!
 //! A [`ScenarioSpec`] names a figure and enumerates its Monte-Carlo operating points
 //! (`code × physical error rate × round latency`, each with a unique id). The engine
 //! ([`run_sweep`]):
 //!
 //! * executes every point across [`decoder::memory::estimate_points`]'s worker pool —
-//!   points are embarrassingly parallel, so a multi-point figure scales with the host
-//!   core count at *point* granularity;
+//!   workers claim whole points, and once every point is started an idle worker
+//!   joins the fixed-budget point with the most unclaimed 64-shot chunks, so a
+//!   figure scales with the host core count even when one slow point dominates;
 //! * is deterministic at any thread count: every point is evaluated with the same
 //!   per-shot RNG streams derived from [`MemoryConfig::seed`] (the workspace's
 //!   `0xC1C1_0DE5` convention, shared with `decoder::memory`), so results are
@@ -233,7 +234,7 @@ impl ScenarioSpec {
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Monte-Carlo configuration applied to every point (`threads` sizes the
-    /// point-level worker pool; the estimate itself is thread-count invariant).
+    /// sweep's worker pool; the estimate itself is thread-count invariant).
     /// `config.shots` is the fixed budget of points without a precision target.
     pub config: MemoryConfig,
     /// Cache directory (`sweeps/` by convention). `None` disables caching.
@@ -420,8 +421,9 @@ impl SweepResult {
     }
 }
 
-/// Executes a scenario sweep: cache lookup, parallel estimation of the misses at
-/// point granularity, cache write-back.
+/// Executes a scenario sweep: cache lookup, parallel estimation of the misses
+/// (whole points, with idle workers sharing the last points' shot chunks), cache
+/// write-back.
 ///
 /// # Panics
 ///

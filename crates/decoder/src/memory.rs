@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// An estimated logical error rate with sampling statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -158,7 +159,8 @@ pub struct MemoryConfig {
     pub shots: usize,
     /// Maximum BP iterations before the OSD fallback.
     pub bp_iterations: usize,
-    /// Number of worker threads (0 = use available parallelism).
+    /// Number of worker threads (0 = use available parallelism; see
+    /// [`MemoryConfig::worker_count`] for the caps).
     pub threads: usize,
     /// Base RNG seed (each shot derives its own stream, so the estimate does
     /// not depend on the worker count).
@@ -185,15 +187,17 @@ impl MemoryConfig {
         }
     }
 
-    /// Resolves the configured thread count to a concrete worker count
-    /// (0 = available parallelism, capped at 16).
+    /// Resolves the configured thread count to a concrete worker count:
+    /// 0 = available parallelism capped at 16, an explicit count is clamped to
+    /// 256, so no setting can make a pool spawn an unbounded number of threads.
+    /// Every pool further caps this at its number of 64-shot work units.
     pub fn worker_count(&self) -> usize {
         if self.threads > 0 {
-            self.threads
+            self.threads.min(MAX_WORKERS)
         } else {
             std::thread::available_parallelism()
                 .map_or(4, |n| n.get())
-                .min(16)
+                .min(AUTO_MAX_WORKERS)
         }
     }
 
@@ -206,6 +210,15 @@ impl MemoryConfig {
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shot as u64 + 1))
     }
 }
+
+/// Ceiling of the worker count [`MemoryConfig::worker_count`] resolves
+/// `threads: 0` (available parallelism) to.
+const AUTO_MAX_WORKERS: usize = 16;
+
+/// Ceiling of an explicit [`MemoryConfig::threads`]: far above any host's
+/// useful parallelism, low enough that a stray value (`CYCLONE_THREADS`) cannot
+/// make a pool spawn thousands of threads, each with its own [`BatchScratch`].
+const MAX_WORKERS: usize = 256;
 
 /// Per-worker sampling workspace: one [`DecoderScratch`] per sector decoder plus the
 /// error/syndrome/residual buffers of a shot, so [`MemoryExperiment::sample_one_with`]
@@ -1001,16 +1014,15 @@ impl<'a> MemoryExperiment<'a> {
     /// from a shared counter purely for load balancing, and the bit-sliced batch
     /// path is bit-identical to the scalar per-shot path). Every worker owns one
     /// [`BatchScratch`], so sampling allocates only at worker startup, never per
-    /// shot.
+    /// shot. The pool never exceeds the run's number of 64-shot batches.
     pub fn run(&self, config: &MemoryConfig) -> LerEstimate {
         // A zero-shot configuration yields the explicit empty estimate instead of
         // fabricating a phantom 1-shot zero-failure floor.
         if config.shots == 0 {
             return LerEstimate::empty();
         }
-        let workers = config.worker_count().max(1);
         let shots = config.shots;
-        let chunks = shots.div_ceil(64);
+        let workers = config.worker_count().min(shots.div_ceil(64));
         let failures = AtomicUsize::new(0);
         let next_chunk = AtomicUsize::new(0);
         // Warm-up: on structured channels, pre-seed the decode caches by
@@ -1021,11 +1033,11 @@ impl<'a> MemoryExperiment<'a> {
         // the workers re-sample the prefix from the same per-shot RNG streams,
         // so failure counting and bit-identity are untouched: cache entries are
         // pure decoder outputs. Skipped for uniform channels (no decode cache
-        // on that path) and for runs too small to amortize the replay.
-        let warm = (self.channel.has_measurement_noise()
-            && shots > DECODE_WARMUP_SHOTS
-            && (workers > 1 || self.decode_cache_dir.is_some()))
-        .then(|| {
+        // on that path), for runs too small to amortize the replay, and for a
+        // single worker, whose own scratch warms as it samples.
+        let warm_up =
+            self.channel.has_measurement_noise() && shots > DECODE_WARMUP_SHOTS && workers > 1;
+        let warm = warm_up.then(|| {
             let mut batch = BatchScratch::new();
             if let Some(dir) = &self.decode_cache_dir {
                 self.load_decode_caches(dir, &mut batch);
@@ -1037,44 +1049,70 @@ impl<'a> MemoryExperiment<'a> {
                 start += count;
             }
             if let Some(dir) = &self.decode_cache_dir {
-                // Best-effort, like the per-worker store below.
+                // Best-effort, like the per-worker store.
                 let _ = self.store_decode_caches(dir, &batch);
             }
             batch
         });
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut batch = match &warm {
-                        Some(warm) => warm.clone(),
-                        None => BatchScratch::new(),
-                    };
-                    if warm.is_none() {
-                        if let Some(dir) = &self.decode_cache_dir {
-                            self.load_decode_caches(dir, &mut batch);
-                        }
-                    }
-                    let mut local_failures = 0usize;
-                    loop {
-                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= chunks {
-                            break;
-                        }
-                        let start = chunk * 64;
-                        let count = 64.min(shots - start);
-                        let mask = self.sample_batch_with(config, start, count, &mut batch);
-                        local_failures += mask.count_ones() as usize;
-                    }
-                    if let Some(dir) = &self.decode_cache_dir {
-                        // Persistence is best-effort: a read-only directory must
-                        // not fail the estimate.
-                        let _ = self.store_decode_caches(dir, &batch);
-                    }
-                    failures.fetch_add(local_failures, Ordering::Relaxed);
-                });
+                scope.spawn(|| self.sample_chunks(config, warm.as_ref(), &next_chunk, &failures));
             }
         });
         LerEstimate::from_counts(shots, failures.load(Ordering::Relaxed))
+    }
+
+    /// One worker's share of a fixed-budget run over shots `0..config.shots`,
+    /// shared by [`run`](MemoryExperiment::run)'s workers and the
+    /// [`estimate_points_adaptive_in`] pool: claims 64-shot chunks from
+    /// `next_chunk` until none is left, samples them on its own
+    /// [`BatchScratch`] (a clone of `warm`, or a fresh scratch loaded from the
+    /// decode-cache directory), adds their failures to `failures` and stores
+    /// its decode caches back. A worker that claims no chunk touches neither a
+    /// scratch nor the disk. Every chunk samples its shots' own RNG streams, so
+    /// the total does not depend on which worker sampled which chunk.
+    fn sample_chunks(
+        &self,
+        config: &MemoryConfig,
+        warm: Option<&BatchScratch>,
+        next_chunk: &AtomicUsize,
+        failures: &AtomicUsize,
+    ) {
+        let shots = config.shots;
+        let chunks = shots.div_ceil(64);
+        let claim = || {
+            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+            (chunk < chunks).then_some(chunk * 64)
+        };
+        let Some(mut start) = claim() else {
+            return;
+        };
+        let mut batch = match warm {
+            Some(warm) => warm.clone(),
+            None => {
+                let mut batch = BatchScratch::new();
+                if let Some(dir) = &self.decode_cache_dir {
+                    self.load_decode_caches(dir, &mut batch);
+                }
+                batch
+            }
+        };
+        let mut local_failures = 0usize;
+        loop {
+            let count = 64.min(shots - start);
+            let mask = self.sample_batch_with(config, start, count, &mut batch);
+            local_failures += mask.count_ones() as usize;
+            match claim() {
+                Some(next) => start = next,
+                None => break,
+            }
+        }
+        if let Some(dir) = &self.decode_cache_dir {
+            // Persistence is best-effort: a read-only directory must not fail
+            // the estimate.
+            let _ = self.store_decode_caches(dir, &batch);
+        }
+        failures.fetch_add(local_failures, Ordering::Relaxed);
     }
 
     /// Runs an adaptive (stop-at-precision) Monte-Carlo experiment with the default
@@ -1111,7 +1149,7 @@ impl<'a> MemoryExperiment<'a> {
             return LerEstimate::empty();
         }
         let mut batch = batch.max(1);
-        let workers = config.worker_count().max(1);
+        let workers = config.worker_count();
         let mut done = 0usize;
         let mut failures = 0usize;
         let mut scratch = BatchScratch::new();
@@ -1123,7 +1161,9 @@ impl<'a> MemoryExperiment<'a> {
         'sampling: while done < max_shots {
             let n = batch.min(max_shots - done);
             batch = batch.saturating_mul(2).min(ADAPTIVE_BATCH_CAP);
-            if workers == 1 {
+            let chunks = n.div_ceil(64);
+            let pool = workers.min(chunks);
+            if pool == 1 {
                 // Single-worker fast path: sample bit-sliced 64-shot chunks but
                 // still evaluate the stop rule after every shot — the decision
                 // uses only the per-shot prefix, so stopping mid-chunk discards
@@ -1149,10 +1189,9 @@ impl<'a> MemoryExperiment<'a> {
                 // shot order for the earliest prefix meeting the target.
                 flags.clear();
                 flags.resize_with(n, || AtomicBool::new(false));
-                let chunks = n.div_ceil(64);
                 let next = AtomicUsize::new(0);
                 std::thread::scope(|scope| {
-                    for _ in 0..workers {
+                    for _ in 0..pool {
                         scope.spawn(|| {
                             let mut batch = BatchScratch::new();
                             if let Some(dir) = &self.decode_cache_dir {
@@ -1235,21 +1274,24 @@ pub struct LerPoint<'a> {
     pub channel: Option<&'a ChannelSpec>,
 }
 
-/// Estimates every point of a sweep across a shared worker pool at *point*
-/// granularity, returning the estimates in input order.
+/// Estimates every point of a sweep across a shared worker pool, returning the
+/// estimates in input order.
 ///
-/// This is the parallel primitive under the `cyclone::sweep` engine: sweeps are
-/// embarrassingly parallel across operating points, so instead of parallelizing the
-/// shots *within* one point (as [`MemoryExperiment::run`] does) the pool runs whole
-/// points concurrently, each single-threaded. Every point is evaluated exactly as
-/// [`logical_error_rate`] would — same shot count, same per-shot RNG streams derived
-/// from [`MemoryConfig::seed`] — so the result vector is bit-identical to the serial
-/// loop at every worker count.
+/// This is the parallel primitive under the `cyclone::sweep` engine. Sweeps are
+/// embarrassingly parallel across operating points, so workers claim whole
+/// points in input order; once every point is started, a worker that would
+/// idle joins the started fixed-budget point with the most unclaimed 64-shot
+/// chunks and samples them alongside its owner (as [`MemoryExperiment::run`]'s
+/// workers share one point's chunks), so one slow point no longer leaves the
+/// rest of the pool idle. Every point is evaluated exactly as
+/// [`logical_error_rate`] would — same shot count, same per-shot RNG streams
+/// derived from [`MemoryConfig::seed`] — so the result vector is bit-identical
+/// to the serial loop at every worker count.
 ///
 /// Workers reuse one [`MemoryExperiment`] (the expensive-to-build sector decoder
 /// pair) per distinct code, moving it between operating points with
-/// [`MemoryExperiment::set_model`]. `config.threads` sizes the pool (0 = available
-/// parallelism, capped at 16).
+/// [`MemoryExperiment::set_model`]. `config.threads` sizes the pool (see
+/// [`MemoryConfig::worker_count`]), capped at the sweep's number of work units.
 pub fn estimate_points(points: &[LerPoint<'_>], config: &MemoryConfig) -> Vec<LerEstimate> {
     estimate_points_adaptive(points, &vec![None; points.len()], config)
 }
@@ -1258,7 +1300,8 @@ pub fn estimate_points(points: &[LerPoint<'_>], config: &MemoryConfig) -> Vec<Le
 /// the fixed `config.shots` budget exactly as before; `Some(target)` samples the
 /// point adaptively (stop at precision, capped by `target.max_shots`, see
 /// [`MemoryExperiment::run_adaptive`]). Fixed and adaptive points may be mixed in
-/// one call and share the pool.
+/// one call and share the pool. An adaptive point is one work unit: it runs
+/// whole on the worker that claims it, and no other worker joins it.
 ///
 /// # Panics
 ///
@@ -1293,84 +1336,135 @@ pub fn estimate_points_adaptive_in(
         targets.len(),
         "need exactly one precision target slot per point"
     );
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let workers = config.worker_count().max(1).min(points.len());
-    // Each point samples with a single worker thread; both the fixed and the
+    // Every participant samples on its own thread; both the fixed and the
     // adaptive estimate are thread-count invariant, so this only affects
     // scheduling, never the values.
     let point_config = MemoryConfig {
         threads: 1,
         ..*config
     };
+    let chunks = config.shots.div_ceil(64);
+    // Work units: each 64-shot chunk of a fixed point, each whole adaptive point.
+    let units: usize = targets
+        .iter()
+        .map(|target| if target.is_some() { 1 } else { chunks })
+        .sum();
+    let workers = config.worker_count().min(units);
+    let progress: Vec<PointProgress> = points.iter().map(|_| PointProgress::default()).collect();
+    let unclaimed = |i: usize| {
+        if targets[i].is_some() {
+            0
+        } else {
+            chunks.saturating_sub(progress[i].next_chunk.load(Ordering::Relaxed))
+        }
+    };
     let next_point = AtomicUsize::new(0);
-    let results: Vec<std::sync::Mutex<Option<LerEstimate>>> =
-        points.iter().map(|_| std::sync::Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                // Decoder pairs are cached per code (keyed by the reference's
-                // address, stable for the duration of the scope).
-                let mut experiments: Vec<(*const CssCode, MemoryExperiment<'_>)> = Vec::new();
+                let mut experiments = Vec::new();
+                let mut sample = |i: usize| {
+                    let exp = point_experiment(
+                        &mut experiments,
+                        &points[i],
+                        config.bp_iterations,
+                        decode_cache_dir,
+                    );
+                    let progress = &progress[i];
+                    match &targets[i] {
+                        None => exp.sample_chunks(
+                            &point_config,
+                            None,
+                            &progress.next_chunk,
+                            &progress.failures,
+                        ),
+                        Some(target) => {
+                            let estimate = exp.run_adaptive(&point_config, target);
+                            progress.adaptive.set(estimate).expect("claimed once");
+                        }
+                    }
+                };
+                // Claim unstarted points in input order ...
                 loop {
                     let i = next_point.fetch_add(1, Ordering::Relaxed);
                     if i >= points.len() {
                         break;
                     }
-                    let point = &points[i];
-                    let key = std::ptr::from_ref(point.code);
-                    let model = HardwareNoiseModel::new(
-                        noise::NoiseParameters::new(point.p),
-                        point.latency,
-                    );
-                    let exp = match experiments.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, exp)) => {
-                            exp.set_model(model);
-                            exp
-                        }
-                        None => {
-                            experiments.push((
-                                key,
-                                MemoryExperiment::new(
-                                    point.code,
-                                    model,
-                                    point_config.bp_iterations,
-                                ),
-                            ));
-                            &mut experiments.last_mut().expect("just pushed").1
-                        }
-                    };
-                    exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
-                    // A structured channel replaces the uniform one set_model just
-                    // installed; uniform specs skip the rebuild and keep the
-                    // historical fast path byte-for-byte.
-                    if let Some(spec) = point.channel {
-                        if !spec.is_uniform() {
-                            exp.set_channel(spec.instantiate(
-                                &model,
-                                point.code.num_qubits(),
-                                point.code.num_stabilizers(),
-                            ));
-                        }
+                    if targets[i].is_some() || unclaimed(i) > 0 {
+                        sample(i);
                     }
-                    let estimate = match &targets[i] {
-                        None => exp.run(&point_config),
-                        Some(target) => exp.run_adaptive(&point_config, target),
-                    };
-                    *results[i].lock().expect("unpoisoned") = Some(estimate);
+                }
+                // ... then share the chunks of the started fixed-budget point
+                // with the most left, until no point has any.
+                while let Some(i) = (0..points.len())
+                    .filter(|&i| unclaimed(i) > 0)
+                    .max_by_key(|&i| unclaimed(i))
+                {
+                    sample(i);
                 }
             });
         }
     });
-    results
+    progress
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("unpoisoned")
-                .expect("every point ran")
+        .zip(targets)
+        .map(|(progress, target)| match target {
+            Some(_) => progress.adaptive.into_inner().expect("every point ran"),
+            None if config.shots == 0 => LerEstimate::empty(),
+            None => LerEstimate::from_counts(config.shots, progress.failures.into_inner()),
         })
         .collect()
+}
+
+/// Shared progress of one point in the [`estimate_points_adaptive_in`] pool.
+/// The counters publish no other data and are read as results only after the
+/// pool's scope has joined every worker, so `Relaxed` suffices.
+#[derive(Default)]
+struct PointProgress {
+    /// Next unclaimed 64-shot chunk of a fixed-budget point.
+    next_chunk: AtomicUsize,
+    /// Failures over the fixed-budget point's sampled chunks.
+    failures: AtomicUsize,
+    /// An adaptive point's estimate, set by the one worker that ran it.
+    adaptive: OnceLock<LerEstimate>,
+}
+
+/// A pool worker's experiment for `point`: its cached [`MemoryExperiment`] for
+/// the point's code (built on first use; keyed by the code reference's
+/// address, stable for the pool's scope), moved to the point's model and
+/// channel.
+fn point_experiment<'e, 'a>(
+    experiments: &'e mut Vec<(*const CssCode, MemoryExperiment<'a>)>,
+    point: &LerPoint<'a>,
+    bp_iterations: usize,
+    decode_cache_dir: Option<&Path>,
+) -> &'e MemoryExperiment<'a> {
+    let key = std::ptr::from_ref(point.code);
+    let model = HardwareNoiseModel::new(noise::NoiseParameters::new(point.p), point.latency);
+    let slot = match experiments.iter().position(|(k, _)| *k == key) {
+        Some(slot) => {
+            experiments[slot].1.set_model(model);
+            slot
+        }
+        None => {
+            let mut exp = MemoryExperiment::new(point.code, model, bp_iterations);
+            exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
+            experiments.push((key, exp));
+            experiments.len() - 1
+        }
+    };
+    let exp = &mut experiments[slot].1;
+    // A structured channel replaces the uniform one set_model just installed;
+    // uniform specs skip the rebuild and keep the historical fast path
+    // byte-for-byte.
+    if let Some(spec) = point.channel.filter(|spec| !spec.is_uniform()) {
+        exp.set_channel(spec.instantiate(
+            &model,
+            point.code.num_qubits(),
+            point.code.num_stabilizers(),
+        ));
+    }
+    exp
 }
 
 // cyclone-lint: hot-path
@@ -1769,30 +1863,144 @@ mod tests {
         }
     }
 
+    /// The serial reference of one sweep point: a fresh single-worker
+    /// experiment at the point's model and channel.
+    fn serial_estimate(
+        point: &LerPoint<'_>,
+        target: Option<&PrecisionTarget>,
+        config: &MemoryConfig,
+    ) -> LerEstimate {
+        let single = MemoryConfig {
+            threads: 1,
+            ..*config
+        };
+        let model = HardwareNoiseModel::new(NoiseParameters::new(point.p), point.latency);
+        let mut exp = MemoryExperiment::new(point.code, model, config.bp_iterations);
+        if let Some(spec) = point.channel.filter(|spec| !spec.is_uniform()) {
+            exp.set_channel(spec.instantiate(
+                &model,
+                point.code.num_qubits(),
+                point.code.num_stabilizers(),
+            ));
+        }
+        match target {
+            None if point.channel.is_none() => {
+                logical_error_rate(point.code, point.p, point.latency, &single)
+            }
+            None => exp.run(&single),
+            Some(target) => exp.run_adaptive(&single, target),
+        }
+    }
+
     #[test]
     fn estimate_points_is_pool_size_invariant() {
+        // One heavy point (most shots decode, many fail) among light ones, so
+        // idle workers join its chunks; fixed and adaptive, uniform and
+        // structured points mixed, shot counts straddling the 64-shot chunk,
+        // and a persistent decode-cache directory shared by every pool.
+        let dir = std::env::temp_dir().join(format!("straggler-pool-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let code = bb_72_12_6().expect("valid");
-        let base = MemoryConfig {
-            shots: 80,
-            bp_iterations: 15,
+        let biased = ChannelSpec::Biased { meas_ratio: 2.0 };
+        let points = [
+            (1e-4, 0.0, None),
+            (6e-2, 0.0, None),
+            (2e-3, 0.0, Some(&biased)),
+            (5e-3, 0.02, None),
+            (1e-3, 0.0, Some(&biased)),
+            (5e-4, 0.02, None),
+        ]
+        .map(|(p, latency, channel)| LerPoint {
+            code: &code,
+            p,
+            latency,
+            channel,
+        });
+        let adaptive = PrecisionTarget::new(0.5, 3, 300);
+        let targets = [None, None, None, Some(adaptive), Some(adaptive), None];
+        for shots in [63, 64, 65, 1000] {
+            let config = MemoryConfig {
+                shots,
+                bp_iterations: 10,
+                threads: 1,
+                seed: 0xC1C1_0DE5,
+            };
+            let serial: Vec<LerEstimate> = points
+                .iter()
+                .zip(&targets)
+                .map(|(point, target)| serial_estimate(point, target.as_ref(), &config))
+                .collect();
+            for threads in [1, 2, 3, 8] {
+                let pooled = estimate_points_adaptive_in(
+                    &points,
+                    &targets,
+                    &MemoryConfig { threads, ..config },
+                    Some(dir.as_path()),
+                );
+                assert_eq!(pooled, serial, "shots={shots} threads={threads}");
+            }
+            // A one-point sweep: every worker but the owner joins its chunks.
+            assert!(shots < 1000 || serial[1].failures > 50, "heavy point");
+            let four = MemoryConfig {
+                threads: 4,
+                ..config
+            };
+            let alone = estimate_points(&points[1..2], &four);
+            assert_eq!(alone, serial[1..2], "shots={shots} one point");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn huge_thread_counts_are_clamped() {
+        // An explicit thread count is clamped, and every pool is capped at its
+        // 64-shot work units: 10 000 requested threads spawn at most a few.
+        assert_eq!(
+            MemoryConfig {
+                threads: 10_000,
+                ..Default::default()
+            }
+            .worker_count(),
+            MAX_WORKERS
+        );
+        let code = bb_72_12_6().expect("valid");
+        let serial = MemoryConfig {
+            shots: 100,
+            bp_iterations: 10,
             threads: 1,
             seed: 0xC1C1_0DE5,
         };
-        let points: Vec<LerPoint<'_>> = [1e-3, 3e-3, 6e-3, 9e-3]
-            .iter()
-            .map(|&p| LerPoint {
+        let huge = MemoryConfig {
+            threads: 10_000,
+            ..serial
+        };
+        let points = [
+            LerPoint {
                 code: &code,
-                p,
-                latency: 0.02,
+                p: 5e-3,
+                latency: 0.0,
                 channel: None,
-            })
-            .collect();
-        let serial = estimate_points(&points, &base);
-        let pooled = estimate_points(&points, &MemoryConfig { threads: 4, ..base });
-        for (a, b) in serial.iter().zip(&pooled) {
-            assert_eq!(a.failures, b.failures);
-            assert_eq!(a.ler, b.ler);
-        }
+            },
+            LerPoint {
+                code: &code,
+                p: 2e-2,
+                latency: 0.0,
+                channel: None,
+            },
+        ];
+        let target = PrecisionTarget::new(0.5, 2, 200);
+        let targets = [None, Some(target)];
+        assert_eq!(
+            estimate_points_adaptive(&points, &targets, &huge),
+            estimate_points_adaptive(&points, &targets, &serial)
+        );
+        let model = HardwareNoiseModel::new(NoiseParameters::new(2e-2), 0.0);
+        let exp = MemoryExperiment::new(&code, model, serial.bp_iterations);
+        assert_eq!(exp.run(&huge), exp.run(&serial));
+        assert_eq!(
+            exp.run_adaptive(&huge, &target),
+            exp.run_adaptive(&serial, &target)
+        );
     }
 
     #[test]
@@ -1878,10 +2086,10 @@ mod tests {
     #[test]
     fn decode_warmup_preserves_bit_identity() {
         // The structured-channel warm-up prefix (DECODE_WARMUP_SHOTS sampled once
-        // before the pool fans out) must never change the estimate: it only
-        // pre-seeds caches, and the workers re-sample the prefix from the same
-        // per-shot streams. shots > DECODE_WARMUP_SHOTS so the warm-up actually
-        // engages on the multi-worker and cache-dir paths.
+        // before a multi-worker pool fans out) must never change the estimate: it
+        // only pre-seeds caches, and the workers re-sample the prefix from the
+        // same per-shot streams. shots > DECODE_WARMUP_SHOTS so the warm-up
+        // actually engages on the multi-worker path.
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(5e-3), 0.0);
         let base = MemoryConfig {
@@ -1893,22 +2101,33 @@ mod tests {
         let channel =
             noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 5e-3, 0.5);
         let mut exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
-        // threads 1 without a cache dir skips the warm-up entirely: the
-        // unwarmed reference.
+        // A single worker never warms up: the unwarmed reference.
         let reference = exp.run(&base);
         // Multi-worker path: warm-up runs, workers clone the warm scratch.
         assert_eq!(exp.run(&MemoryConfig { threads: 4, ..base }), reference);
-        // Cache-dir path: warm-up runs and persists, cold and warm alike.
+        // A single worker with a cache dir skips the warm-up too: its own
+        // scratch loads the files and persists what it sampled.
         let dir =
             std::env::temp_dir().join(format!("cyclone-warmup-identity-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         exp.set_decode_cache_dir(Some(dir.clone()));
         assert_eq!(exp.run(&base), reference, "cold persistent caches");
+        let mut loaded = BatchScratch::new();
+        assert!(
+            exp.load_decode_caches(&dir, &mut loaded) > 0,
+            "a single worker must still persist its caches"
+        );
         assert_eq!(exp.run(&base), reference, "warm persistent caches");
         assert_eq!(
             exp.run(&MemoryConfig { threads: 4, ..base }),
             reference,
             "warm caches across a worker pool"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            exp.run(&MemoryConfig { threads: 4, ..base }),
+            reference,
+            "cold caches across a worker pool"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
