@@ -380,10 +380,10 @@ fn main() {
          context bind, and a 4-way set-associative per-syndrome decode cache\n\
          (`CYCLONE_DECODE_CACHE_SLOTS` slots, conflict evictions counted)\n\
          replays repeated syndromes as a word-compare plus a copy. Lanes that\n\
-         still reach the OSD fallback hit a warm-started ordered-statistics\n\
-         stage (column-permutation reuse + early-exit elimination, pinned\n\
-         bit-identical to the cold reference `decode_into_cold` by a property\n\
-         test). Each lane consumes its own seeded per-shot stream, so every\n\
+         still reach the OSD fallback hit a column-basis ordered-statistics\n\
+         stage (each column reduced against the pivots found so far, stopping\n\
+         once the syndrome lies in their span), pinned bit-identical to a\n\
+         row-echelon reference oracle by a property test. Each lane consumes its own seeded per-shot stream, so every\n\
          table in this file is bit-identical to the scalar per-shot path at any\n\
          thread count and any batch size (pinned by a property test across the\n\
          code catalog × channel shapes × batch sizes).\n\n\
@@ -400,8 +400,11 @@ fn main() {
          decoder_hotpath`) records the scalar and batch shot rates per channel\n\
          shape (`channel_shots_per_sec`, `batch_shots_per_sec`), per-channel\n\
          `weight1_fastpath_rate` / `osd_fallback_rate` / `cache_hit_rate`\n\
-         (`batch_channel_stats`), the warm and cold OSD stage rates\n\
-         (`osd_stage_decodes_per_sec`), conflict evictions\n\
+         (`batch_channel_stats`), the OSD stage rates of the column-basis\n\
+         decoder and the row-echelon oracle on `[[72,12,6]]` and on `[[225,9,6]]`\n\
+         at the Fig. 15 straggler's effective rate\n\
+         (`osd_stage_decodes_per_sec`, `osd_stage_hgp225_decodes_per_sec`),\n\
+         conflict evictions\n\
          (`batch_cache_evictions`), whether a persisted decode cache was\n\
          loaded (`decode_cache.{entries_loaded,warm}`), the worst\n\
          structured-channel penalty vs the uniform batch rate\n\

@@ -44,9 +44,14 @@ impl LerEstimate {
     ///
     /// # Panics
     ///
-    /// Panics if `shots` is zero (use [`LerEstimate::empty`] for a no-data estimate).
+    /// Panics if `shots` is zero (use [`LerEstimate::empty`] for a no-data estimate)
+    /// or if `failures` exceeds `shots`.
     pub fn from_counts(shots: usize, failures: usize) -> Self {
         assert!(shots > 0, "need at least one shot");
+        assert!(
+            failures <= shots,
+            "{failures} failures cannot come from {shots} shots"
+        );
         let raw = failures as f64 / shots as f64;
         let ler = if failures == 0 {
             0.5 / shots as f64
@@ -142,9 +147,10 @@ impl PrecisionTarget {
     /// Whether a `(shots, failures)` pair meets this target (the stop rule, also
     /// used by the sweep cache to decide whether a cached point may be reused for a
     /// precision-targeted request). The `max_shots` cap is deliberately not
-    /// consulted here: this is the *precision* criterion alone.
+    /// consulted here: this is the *precision* criterion alone. An impossible pair
+    /// (`failures > shots`, e.g. from a corrupt cache entry) never meets it.
     pub fn met_by(&self, shots: usize, failures: usize) -> bool {
-        if shots == 0 || failures < self.min_failures.max(1) {
+        if shots == 0 || failures > shots || failures < self.min_failures.max(1) {
             return false;
         }
         let est = LerEstimate::from_counts(shots, failures);
@@ -1619,6 +1625,22 @@ mod tests {
         let zero = LerEstimate::from_counts(1000, 0);
         assert!(zero.is_upper_bound());
         assert!(zero.ler > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "failures cannot come from")]
+    fn more_failures_than_shots_is_rejected() {
+        // Regression: 11 failures in 10 shots used to yield ler = 1.1 and a NaN
+        // std_err instead of being rejected like a zero-shot count.
+        let _ = LerEstimate::from_counts(10, 11);
+    }
+
+    #[test]
+    fn impossible_counts_never_meet_a_precision_target() {
+        let t = PrecisionTarget::new(0.48, 3, 10_000);
+        assert!(!t.met_by(10, 11));
+        let full = LerEstimate::from_counts(10, 10);
+        assert_eq!((full.ler, full.std_err), (1.0, 0.0));
     }
 
     #[test]

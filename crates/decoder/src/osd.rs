@@ -2,28 +2,52 @@
 //!
 //! Belief propagation alone often fails on quantum LDPC codes because of the many
 //! degenerate low-weight solutions. OSD-0 (Panteleev–Kalachev style) takes the BP
-//! posterior reliabilities, orders the columns from most to least likely to be in
-//! error, selects a set of pivot columns greedily in that order by Gaussian
-//! elimination, and solves for the unique error supported (as much as possible) on the
-//! most suspicious positions that reproduces the syndrome exactly.
+//! posterior reliabilities, orders the columns of `H` from most to least likely to
+//! be in error, selects pivot columns greedily in that order — column `j` is a pivot
+//! iff it is linearly independent of the columns ordered before it — and returns
+//! the unique combination of pivot columns that reproduces the syndrome, with every
+//! non-pivot position set to zero.
 //!
-//! The hot path ([`OsdDecoder::decode_into`]) works at word level throughout: the
-//! augmented matrix `[H(ordered) | s]` is gathered 64 columns at a time into reused
-//! `u64` row storage borrowed from a [`DecoderScratch`], pivots are located with
-//! masked `trailing_zeros` scans over whole words, and elimination XORs whole rows —
-//! no per-bit `get`/`set` traffic and no heap allocation in steady state.
+//! # Column-basis elimination
 //!
-//! [`OsdDecoder::decode_into`] additionally **warm-starts** from the scratch state
-//! left by the previous fallback: the suspicion sort starts from the previous
-//! column permutation (Monte-Carlo shots at one operating point produce highly
-//! similar BP posteriors, so the nearly-sorted input is fast under pdqsort), and
-//! elimination stops as soon as the residual syndrome column is cleared (the
-//! remaining pivots of a full run would all read off zero). Both shortcuts are
-//! provably bit-identical to the cold path, which stays available as
-//! [`OsdDecoder::decode_into_cold`] and pins them in property tests.
+//! [`OsdDecoder::new`] packs `H` column-major once (`m.div_ceil(64)` words per
+//! column). Each decode then walks the columns in suspicion order and reduces each
+//! one against an echelon basis of the pivots found so far, keyed by each basis
+//! vector's lowest set row. A column that reduces to zero depends on earlier ones
+//! and is skipped; any other column becomes the next pivot, stored already reduced
+//! under its (new, unique) lowest row. Every basis vector also carries a bitset of
+//! the pivots it combines, so the reduction keeps track of which original columns
+//! it has summed.
+//!
+//! This picks exactly the pivots of row-echelon Gaussian elimination on
+//! `[H(ordered) | s]`: both are the greedy basis of the ordered columns. The OSD-0
+//! solution is the unique combination of those independent pivots that equals `s`,
+//! so both methods return the same vector. A row-echelon reference oracle pins this
+//! in the property suite.
+//!
+//! # Early exit
+//!
+//! The syndrome is kept reduced against the basis as a running residual: whenever
+//! a new pivot's key row is the residual's lowest set row, the residual is reduced
+//! further. A nonzero residual reduced this way is never in the span of the basis,
+//! since any nonzero combination of basis vectors has its lowest set row at a key.
+//! So the decode stops as soon as the residual reaches zero, usually long before the
+//! columns run out. The residual's pivot bitset is then the solution, scattered back
+//! through the column order. Pivots found after that point could only take the value
+//! zero. If the columns run out with a nonzero residual, the syndrome lies outside
+//! the column space of `H`, and the decode reports it.
+//!
+//! Consecutive decodes also reuse the previous column order as the sort's starting
+//! permutation: Monte-Carlo shots at one operating point produce similar BP
+//! posteriors, so the input is nearly sorted. The comparator is a strict total
+//! order, so any starting permutation sorts to the same result. Every buffer lives
+//! in a [`DecoderScratch`], so steady-state decodes do not allocate.
 
 use crate::scratch::DecoderScratch;
 use qec::linalg::BitMat;
+
+/// `DecoderScratch::row_owner` entry for a row that is no basis vector's key.
+const NO_OWNER: usize = usize::MAX;
 
 /// Sort key for suspicion scores: NaN (e.g. from a degenerate prior) maps to the
 /// lowest possible suspicion instead of silently scrambling the order, and signed
@@ -39,16 +63,61 @@ fn suspicion_key(x: f64) -> f64 {
     }
 }
 
+/// Reduces `v` (`rw` vector words followed by its pivot bitset) against the
+/// echelon `basis`, walking up from its lowest set row. Returns the lowest set row
+/// of the result, which no basis vector owns, or `None` once `v` is zero.
+///
+/// Each XOR clears the current lowest row and changes only higher rows, because a
+/// basis vector has no set row below its key.
+#[inline]
+fn reduce(v: &mut [u64], rw: usize, basis: &[u64], row_owner: &[usize]) -> Option<usize> {
+    let stride = v.len();
+    for w in 0..rw {
+        while v[w] != 0 {
+            let row = (w << 6) | v[w].trailing_zeros() as usize;
+            let owner = row_owner[row];
+            if owner == NO_OWNER {
+                return Some(row);
+            }
+            for (dst, src) in v
+                .iter_mut()
+                .zip(&basis[owner * stride..(owner + 1) * stride])
+            {
+                *dst ^= src;
+            }
+        }
+    }
+    None
+}
+
 /// OSD-0 decoder over a fixed parity-check matrix.
 #[derive(Debug, Clone)]
 pub struct OsdDecoder {
     h: BitMat,
+    /// `H` packed column-major: column `c` is words `c * col_words..(c + 1) *
+    /// col_words`, row `r` at bit `r & 63` of word `r >> 6`.
+    cols: Vec<u64>,
+    /// Words per packed column, `m.div_ceil(64)`.
+    col_words: usize,
 }
 
 impl OsdDecoder {
     /// Creates an OSD decoder for the parity-check matrix `h`.
     pub fn new(h: BitMat) -> Self {
-        OsdDecoder { h }
+        let (m, n) = h.shape();
+        let col_words = m.div_ceil(64);
+        let mut cols = vec![0u64; n * col_words];
+        for r in 0..m {
+            for (w, &word) in h.row_words(r).iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let c = (w << 6) | bits.trailing_zeros() as usize;
+                    cols[c * col_words + (r >> 6)] |= 1u64 << (r & 63);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        OsdDecoder { h, cols, col_words }
     }
 
     /// The parity-check matrix.
@@ -74,62 +143,39 @@ impl OsdDecoder {
     /// the solution in [`DecoderScratch::error`] when the syndrome is consistent;
     /// returns `false` — leaving `scratch.error` untouched — otherwise.
     ///
-    /// Warm-starts from the previous fallback's scratch state (column-permutation
-    /// reuse + early-exit elimination); output is bit-identical to
-    /// [`OsdDecoder::decode_into_cold`].
+    /// The column sort starts from the previous decode's order left in the scratch;
+    /// the output does not depend on the scratch's prior contents.
     ///
     /// # Panics
     ///
     /// Panics if dimensions do not match.
+    // cyclone-lint: hot-path
     pub fn decode_into(
         &self,
         syndrome: &[bool],
         suspicion: &[f64],
         scratch: &mut DecoderScratch,
     ) -> bool {
-        self.decode_into_impl(syndrome, suspicion, scratch, true)
-    }
-
-    /// The cold reference path: fresh `0..n` column order and full Gauss-Jordan
-    /// elimination, exactly the pre-warm-start behavior. Kept public so property
-    /// tests (and skeptical users) can pin the warm path against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions do not match.
-    pub fn decode_into_cold(
-        &self,
-        syndrome: &[bool],
-        suspicion: &[f64],
-        scratch: &mut DecoderScratch,
-    ) -> bool {
-        self.decode_into_impl(syndrome, suspicion, scratch, false)
-    }
-
-    // cyclone-lint: hot-path
-    fn decode_into_impl(
-        &self,
-        syndrome: &[bool],
-        suspicion: &[f64],
-        scratch: &mut DecoderScratch,
-        warm: bool,
-    ) -> bool {
-        let m = self.h.num_rows();
-        let n = self.h.num_cols();
+        let (m, n) = self.h.shape();
         assert_eq!(syndrome.len(), m, "syndrome length mismatch");
         assert_eq!(suspicion.len(), n, "need one score per column");
 
         // Column order: most suspicious first (ties broken by index for determinism).
         // The index tiebreak makes the comparator a strict total order, so the
         // unstable sort yields the same permutation as a stable one — without the
-        // stable sort's temporary-buffer allocation. Warm path: any permutation of
-        // 0..n sorts to the same unique result under a strict total order, so the
-        // previous decode's order (nearly sorted for the typical shot-to-shot
-        // posterior drift) is a valid — and faster — starting point. `scratch.order`
-        // is only ever written here, so `len() == n` implies it is a permutation
-        // of `0..n`.
-        let order = &mut scratch.order;
-        if !warm || order.len() != n {
+        // stable sort's temporary-buffer allocation — from any starting permutation.
+        // `scratch.order` is only ever written here, so `len() == n` implies it is a
+        // permutation of `0..n`.
+        let DecoderScratch {
+            order,
+            basis,
+            row_owner,
+            residual,
+            pivot_pos,
+            error,
+            ..
+        } = scratch;
+        if order.len() != n {
             order.clear();
             order.extend(0..n);
         }
@@ -139,118 +185,58 @@ impl OsdDecoder {
                 .then(a.cmp(&b))
         });
 
-        // Augmented matrix [H(ordered) | s] in word-packed rows: the syndrome lives
-        // at bit position `n`. Each permuted row is gathered 64 columns at a time
-        // into an accumulator word, so storage is written once per word, not once
-        // per bit. Every word is overwritten, so stale scratch contents are fine.
-        let words = (n + 1).div_ceil(64);
-        scratch.aug.resize(m * words, 0);
-        for (r, &sr) in syndrome.iter().enumerate() {
-            let h_row = self.h.row_words(r);
-            let out = &mut scratch.aug[r * words..(r + 1) * words];
-            let mut acc = 0u64;
-            let mut w = 0usize;
-            for (pos, &orig) in order.iter().enumerate() {
-                acc |= ((h_row[orig >> 6] >> (orig & 63)) & 1) << (pos & 63);
-                if pos & 63 == 63 {
-                    out[w] = acc;
-                    w += 1;
-                    acc = 0;
-                }
+        // A basis slot is `rw` vector words followed by a pivot bitset of the same
+        // width (at most `m` pivots exist). Slot `rank` doubles as the candidate
+        // column's workspace, so an independent column is already in place.
+        let rw = self.col_words;
+        let stride = 2 * rw;
+        basis.resize(m * stride, 0);
+        row_owner.clear();
+        row_owner.resize(m, NO_OWNER);
+        pivot_pos.clear();
+        residual.clear();
+        residual.resize(stride, 0);
+        for (r, _) in syndrome.iter().enumerate().filter(|(_, &bit)| bit) {
+            residual[r >> 6] |= 1u64 << (r & 63);
+        }
+        let mut residual_low = reduce(residual, rw, basis, row_owner);
+
+        for (pos, &col) in order.iter().enumerate() {
+            // Stop once the syndrome lies in the span of the pivots found so far.
+            // `m` pivots span every syndrome, so `rank` never reaches `m` here.
+            let Some(low) = residual_low else { break };
+            let rank = pivot_pos.len();
+            let (done, free) = basis.split_at_mut(rank * stride);
+            let cand = &mut free[..stride];
+            cand[..rw].copy_from_slice(&self.cols[col * rw..(col + 1) * rw]);
+            cand[rw..].fill(0);
+            let Some(key) = reduce(cand, rw, done, row_owner) else {
+                continue;
+            };
+            cand[rw + (rank >> 6)] |= 1u64 << (rank & 63);
+            row_owner[key] = rank;
+            pivot_pos.push(pos);
+            if key == low {
+                residual_low = reduce(residual, rw, basis, row_owner);
             }
-            if sr {
-                acc |= 1u64 << (n & 63);
-            }
-            out[w] = acc;
+        }
+        if residual_low.is_some() {
+            return false;
         }
 
-        // Greedy elimination in permuted-column order. Invariant: every row at or
-        // below `pivot_row` has zeros in all columns already passed, so the next
-        // pivot column is the minimum leading set bit over those rows — found by a
-        // masked trailing_zeros scan of each row's words (the syndrome bit is masked
-        // out of the final word) — and the pivot row is the first row attaining it.
-        let aug = &mut scratch.aug;
-        let pivot_cols = &mut scratch.pivot_cols;
-        pivot_cols.clear();
-        let last_word_mask = (1u64 << (n & 63)) - 1;
-        let (syn_word, syn_bit) = (n >> 6, n & 63);
-        let mut pivot_row = 0usize;
-        while pivot_row < m {
-            // Early exit once the residual syndrome is cleared: if no remaining row
-            // carries a syndrome bit, every further pivot of a full elimination
-            // would read off zero — pivot rows are only ever XORed *into* other
-            // rows, and XOR with a zero-syndrome row preserves syndrome bits, so
-            // (inductively) the remaining rows keep zero syndrome to the end and
-            // the OSD-0 solution entries they would contribute are all zero, i.e.
-            // exactly what the readoff below already assumes for non-pivots. The
-            // inconsistent case can never take this exit (it requires a surviving
-            // syndrome bit), so detection is unaffected.
-            if warm && !(pivot_row..m).any(|r| (aug[r * words + syn_word] >> syn_bit) & 1 == 1) {
-                break;
-            }
-            let mut best_col = usize::MAX;
-            let mut best_row = usize::MAX;
-            for r in pivot_row..m {
-                let row = &aug[r * words..(r + 1) * words];
-                for (w, &raw) in row.iter().enumerate() {
-                    let word = if w == words - 1 {
-                        raw & last_word_mask
-                    } else {
-                        raw
-                    };
-                    if word != 0 {
-                        let lead = (w << 6) | word.trailing_zeros() as usize;
-                        if lead < best_col {
-                            best_col = lead;
-                            best_row = r;
-                        }
-                        break;
-                    }
-                }
-            }
-            if best_col == usize::MAX {
-                break;
-            }
-            if best_row != pivot_row {
-                for w in 0..words {
-                    aug.swap(pivot_row * words + w, best_row * words + w);
-                }
-            }
-            let (pivot_word, pivot_bit) = (best_col >> 6, best_col & 63);
-            for rr in 0..m {
-                if rr != pivot_row && (aug[rr * words + pivot_word] >> pivot_bit) & 1 == 1 {
-                    for w in 0..words {
-                        let v = aug[pivot_row * words + w];
-                        aug[rr * words + w] ^= v;
-                    }
-                }
-            }
-            pivot_cols.push(best_col);
-            pivot_row += 1;
-        }
-
-        // Consistency: any all-zero row must have zero syndrome. (After a warm
-        // early exit the remaining rows may be nonzero, but all carry zero
-        // syndrome — the exit condition — so the loop still passes.)
-        for r in pivot_cols.len()..m {
-            if (aug[r * words + syn_word] >> syn_bit) & 1 == 1 {
-                return false;
+        // OSD-0: the residual's pivot bitset names the pivots summing to the
+        // syndrome; every other column is zero.
+        error.clear();
+        error.resize(n, false);
+        for (w, &word) in residual[rw..].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let k = (w << 6) | bits.trailing_zeros() as usize;
+                error[order[pivot_pos[k]]] = true;
+                bits &= bits - 1;
             }
         }
-
-        // OSD-0: non-pivot columns are set to zero; pivot columns read off the
-        // syndrome column.
-        scratch.solution_ordered.clear();
-        scratch.solution_ordered.resize(n, false);
-        for (row, &col) in pivot_cols.iter().enumerate() {
-            scratch.solution_ordered[col] = (aug[row * words + syn_word] >> syn_bit) & 1 == 1;
-        }
-        scratch.error.clear();
-        scratch.error.resize(n, false);
-        for (pos, &orig) in order.iter().enumerate() {
-            scratch.error[orig] = scratch.solution_ordered[pos];
-        }
-        debug_assert_eq!(self.h.mul_vec(&scratch.error), syndrome);
+        debug_assert_eq!(self.h.mul_vec(error), syndrome);
         true
     }
     // cyclone-lint: end-hot-path
@@ -372,41 +358,44 @@ mod tests {
             let suspicion: Vec<f64> = (0..cols)
                 .map(|i| ((i * 31 + round * 17) % 97) as f64 / 97.0)
                 .collect();
-            let mut cold = DecoderScratch::new();
-            assert!(osd.decode_into_cold(&s, &suspicion, &mut cold));
+            let cold = osd.decode(&s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut warm));
-            assert_eq!(warm.error(), cold.error(), "round {round}");
+            assert_eq!(warm.error(), cold.as_slice(), "round {round}");
         }
     }
 
     #[test]
     fn warm_start_still_detects_inconsistency() {
-        // A zero row with a nonzero syndrome can never trigger the early exit.
+        // A zero row with a nonzero syndrome leaves a residual no column clears,
+        // and the failed decode must leave the previous solution in place.
         let h = BitMat::from_dense(&[vec![1, 1], vec![0, 0]]);
         let osd = OsdDecoder::new(h);
         let mut scratch = DecoderScratch::new();
         // Dirty the scratch with a consistent decode first.
         assert!(osd.decode_into(&[true, false], &[0.5, 0.5], &mut scratch));
+        let before = scratch.error().to_vec();
         assert!(!osd.decode_into(&[false, true], &[0.5, 0.5], &mut scratch));
-        assert!(!osd.decode_into_cold(&[false, true], &[0.5, 0.5], &mut scratch));
+        assert!(!osd.decode_into(&[true, true], &[0.5, 0.5], &mut scratch));
+        assert_eq!(scratch.error(), before.as_slice());
     }
 
     #[test]
     fn warm_start_survives_size_migration() {
         // A scratch whose order permutation belongs to a different n must fall
-        // back to the fresh 0..n order, not index out of bounds or misdecode.
+        // back to the fresh 0..n order, not index out of bounds or misdecode;
+        // the row counts 63, 8, 128, 64, 65, 14 straddle packed-column word
+        // boundaries in both directions.
         let mut scratch = DecoderScratch::new();
-        for n in [9usize, 70, 15] {
+        for n in [64usize, 9, 129, 65, 66, 15] {
             let h = repetition_h(n);
             let osd = OsdDecoder::new(h.clone());
             let mut e = vec![false; n];
             e[n / 2] = true;
             let s = h.mul_vec(&e);
             let suspicion: Vec<f64> = (0..n).map(|i| 1.0 / (2.0 + i as f64)).collect();
-            let mut cold = DecoderScratch::new();
-            assert!(osd.decode_into_cold(&s, &suspicion, &mut cold));
+            let cold = osd.decode(&s, &suspicion).expect("consistent");
             assert!(osd.decode_into(&s, &suspicion, &mut scratch));
-            assert_eq!(scratch.error(), cold.error(), "n = {n}");
+            assert_eq!(scratch.error(), cold.as_slice(), "n = {n}");
         }
     }
 

@@ -3,7 +3,7 @@
 //! [`DecoderScratch`] owns every working buffer the BP / OSD / BP+OSD hot paths need:
 //! the flat message arenas of belief propagation, the channel-LLR vector (with a
 //! cached uniform-prior fill), and the ordered-statistics column permutation and
-//! word-packed augmented matrix. The `decode_into` entry points of
+//! word-packed column basis. The `decode_into` entry points of
 //! [`crate::bp::BeliefPropagation`], [`crate::osd::OsdDecoder`], and
 //! [`crate::bposd::BpOsdDecoder`] borrow all of their state from one of these, so a
 //! caller that keeps a scratch alive (one per worker thread, typically) performs zero
@@ -164,12 +164,15 @@ pub struct DecoderScratch {
     pub(crate) suspicion: Vec<f64>,
     /// Column permutation, most suspicious first.
     pub(crate) order: Vec<usize>,
-    /// Word-packed augmented matrix `[H(ordered) | s]`, row-major.
-    pub(crate) aug: Vec<u64>,
-    /// Pivot column (in permuted coordinates) of each pivot row, in row order.
-    pub(crate) pivot_cols: Vec<usize>,
-    /// OSD solution in permuted coordinates.
-    pub(crate) solution_ordered: Vec<bool>,
+    /// Echelon basis of the OSD pivot columns: per slot, the reduced column
+    /// words followed by a bitset of the pivots it combines.
+    pub(crate) basis: Vec<u64>,
+    /// For each check row, the basis slot whose lowest set row it is, if any.
+    pub(crate) row_owner: Vec<usize>,
+    /// The syndrome reduced against the basis, with its own pivot bitset.
+    pub(crate) residual: Vec<u64>,
+    /// Position in `order` of each pivot, in discovery order.
+    pub(crate) pivot_pos: Vec<usize>,
 }
 
 impl DecoderScratch {

@@ -12,8 +12,14 @@ use noise::{ErrorChannel, HardwareNoiseModel, NoiseParameters};
 use proptest::prelude::*;
 use qec::classical::ClassicalCode;
 use qec::hgp::square_hypergraph_product;
+use qec::linalg::BitMat;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
+
+#[path = "support/osd_oracle.rs"]
+mod osd_oracle;
+use osd_oracle::RowEchelonOsd;
 
 proptest! {
     // Deterministic: every case derives from this explicit seed (the workspace's
@@ -213,67 +219,6 @@ proptest! {
     }
 
     #[test]
-    fn warm_started_osd_is_bit_identical_to_cold_osd(
-        seed in 0u64..40,
-        p in 0.005f64..0.05,
-        code_pick in 0usize..3,
-        channel_pick in 0usize..3,
-        bp_iterations in 2usize..8,
-    ) {
-        // The warm-started OSD (column-permutation reuse + early-exit
-        // elimination) must produce exactly the cold path's output on the
-        // suspicion vectors real BP failures produce — across the code catalog
-        // and channel shapes, with one dirty scratch carried across shots and
-        // sectors the way the Monte-Carlo fallback reuses it. Measurement flips
-        // inject syndromes the error alone would not produce, including ones
-        // outside the column space (the inconsistent branch).
-        let code = match code_pick {
-            0 => qec::codes::bb_72_12_6().expect("valid"),
-            1 => qec::codes::hgp_100().expect("valid"),
-            _ => qec::codes::bb_90_8_10().expect("valid"),
-        };
-        let model = HardwareNoiseModel::new(NoiseParameters::new(p), 2e-3);
-        let n = code.num_qubits();
-        let p_eff = model.effective_error_rate();
-        let meas_rate = match channel_pick {
-            0 => 0.0,
-            1 => (2.0 * p_eff).min(0.75),
-            _ => (8.0 * p_eff).min(0.75),
-        };
-        let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
-        let mut bp_scratch = DecoderScratch::new();
-        let mut warm = DecoderScratch::new();
-        for _shot in 0..6 {
-            let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p_eff)).collect();
-            for (h, mut syndrome) in [
-                (code.hz(), code.z_syndrome(&error)),
-                (code.hx(), code.x_syndrome(&error)),
-            ] {
-                if meas_rate > 0.0 {
-                    for bit in syndrome.iter_mut() {
-                        if rng.gen_bool(meas_rate) {
-                            *bit = !*bit;
-                        }
-                    }
-                }
-                // Produce the suspicion vector the real fallback would see: the
-                // negated BP posterior LLRs left in the scratch by a full decode.
-                let dec = BpOsdDecoder::new(h, bp_iterations);
-                dec.decode_into(&syndrome, p_eff.clamp(1e-9, 0.45), &mut bp_scratch);
-                let suspicion: Vec<f64> = bp_scratch.llrs().iter().map(|&l| -l).collect();
-                let osd = OsdDecoder::new(h.clone());
-                let mut cold = DecoderScratch::new();
-                let ok_cold = osd.decode_into_cold(&syndrome, &suspicion, &mut cold);
-                let ok_warm = osd.decode_into(&syndrome, &suspicion, &mut warm);
-                prop_assert_eq!(ok_warm, ok_cold, "consistency verdict diverged");
-                if ok_cold {
-                    prop_assert_eq!(warm.error(), cold.error());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn simd_propagate_is_bit_identical_to_scalar(
         seed in 0u64..60,
         p in 0.002f64..0.06,
@@ -362,6 +307,145 @@ proptest! {
         let short = HardwareNoiseModel::new(NoiseParameters::new(p), latency);
         let long = HardwareNoiseModel::new(NoiseParameters::new(p), latency + 0.05);
         prop_assert!(long.effective_error_rate() >= short.effective_error_rate());
+    }
+}
+
+/// The full evaluation catalog, built once per test binary.
+fn catalog() -> &'static [qec::codes::CatalogEntry] {
+    static CATALOG: OnceLock<Vec<qec::codes::CatalogEntry>> = OnceLock::new();
+    CATALOG.get_or_init(|| qec::codes::full_catalog().expect("valid catalog"))
+}
+
+/// A random `m × n` check matrix of row weight ~6 whose last rows repeat
+/// earlier ones (so it is rank-deficient and has syndromes outside its column
+/// space).
+fn random_checks(m: usize, n: usize, rng: &mut StdRng) -> BitMat {
+    let mut rows: Vec<Vec<usize>> = (0..m - m / 8)
+        .map(|_| (0..6).map(|_| rng.gen_range(0..n)).collect())
+        .collect();
+    while rows.len() < m {
+        let (a, b) = (rng.gen_range(0..rows.len()), rng.gen_range(0..rows.len()));
+        let mut sum: Vec<usize> = rows[a].iter().chain(&rows[b]).copied().collect();
+        sum.sort_unstable();
+        rows.push(sum);
+    }
+    let mut h = BitMat::zeros(m, n);
+    for (r, support) in rows.iter().enumerate() {
+        for &c in support {
+            h.flip(r, c);
+        }
+    }
+    h
+}
+
+/// Rewrites BP suspicions into the adversarial shapes the sort key must
+/// order deterministically: 0 leaves them as they are, 1 rounds them to a few
+/// tied levels, 2 sprinkles NaN, 3 sprinkles `+0.0` / `-0.0`.
+fn distort_scores(scores: &mut [f64], shape: usize, rng: &mut StdRng) {
+    for x in scores.iter_mut() {
+        match shape {
+            1 => *x = (*x / 4.0).round(),
+            2 if rng.gen_bool(0.2) => *x = f64::NAN,
+            3 if rng.gen_bool(0.3) => *x = if rng.gen_bool(0.5) { 0.0 } else { -0.0 },
+            _ => {}
+        }
+    }
+}
+
+/// Decodes one (syndrome, suspicion) pair with both the shipped column-basis
+/// OSD (through the caller's dirty scratch) and the row-echelon oracle, and
+/// checks they agree; on an inconsistent syndrome the shipped decoder must
+/// leave `scratch.error` as it was. Returns whether the syndrome was
+/// consistent.
+fn assert_osd_matches_oracle(
+    osd: &OsdDecoder,
+    oracle: &mut RowEchelonOsd,
+    syndrome: &[bool],
+    suspicion: &[f64],
+    scratch: &mut DecoderScratch,
+) -> bool {
+    let before = scratch.error().to_vec();
+    let consistent = oracle.decode(syndrome, suspicion);
+    assert_eq!(
+        osd.decode_into(syndrome, suspicion, scratch),
+        consistent,
+        "consistency verdict diverged"
+    );
+    if consistent {
+        assert_eq!(scratch.error(), oracle.error());
+    } else {
+        assert_eq!(
+            scratch.error(),
+            before.as_slice(),
+            "failed decode wrote error"
+        );
+    }
+    consistent
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4).with_seed(0xC1C1_0DE5))]
+
+    #[test]
+    fn column_osd_matches_row_echelon_oracle(seed in 0u64..1000) {
+        // The column-basis OSD must return exactly the row-echelon oracle's
+        // solution and consistency verdict on both sectors of every catalog code
+        // (the BB check matrices are rank-deficient), on the suspicions real BP
+        // failures produce at low, moderate and high noise, rewritten into ties,
+        // NaN and signed zeros; and on random rank-deficient matrices whose row
+        // counts straddle packed-column word boundaries. A flipped measurement
+        // bit and uniformly random syndromes supply inconsistent inputs. One
+        // dirty scratch crosses every shape.
+        let mut rng = StdRng::seed_from_u64(0xC1C1_0DE5 ^ seed);
+        let mut scratch = DecoderScratch::new();
+        let mut bp_scratch = DecoderScratch::new();
+        let (mut consistent, mut inconsistent) = (0usize, 0usize);
+        let mut tally = |ok: bool| if ok { consistent += 1 } else { inconsistent += 1 };
+        for entry in catalog() {
+            for h in [entry.code.hx(), entry.code.hz()] {
+                let (m, n) = h.shape();
+                let osd = OsdDecoder::new(h.clone());
+                let mut oracle = RowEchelonOsd::new(h.clone());
+                let bp = BpOsdDecoder::new(h, 6);
+                for (k, p) in [1e-3, 0.03, 0.1].into_iter().enumerate() {
+                    let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(p)).collect();
+                    let exact = h.mul_vec(&error);
+                    let mut flipped = exact.clone();
+                    let at = rng.gen_range(0..m);
+                    flipped[at] = !flipped[at];
+                    let random: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.5)).collect();
+                    for syndrome in [exact, flipped, random] {
+                        bp.decode_into(&syndrome, p, &mut bp_scratch);
+                        let mut suspicion: Vec<f64> =
+                            bp_scratch.llrs().iter().map(|&l| -l).collect();
+                        distort_scores(&mut suspicion, (seed as usize + k) % 4, &mut rng);
+                        tally(assert_osd_matches_oracle(
+                            &osd, &mut oracle, &syndrome, &suspicion, &mut scratch,
+                        ));
+                    }
+                }
+            }
+        }
+        for m in [63usize, 64, 65, 128] {
+            let h = random_checks(m, 2 * m + 3, &mut rng);
+            let (m, n) = h.shape();
+            let osd = OsdDecoder::new(h.clone());
+            let mut oracle = RowEchelonOsd::new(h.clone());
+            for shape in 0..4 {
+                let error: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.05)).collect();
+                let random: Vec<bool> = (0..m).map(|_| rng.gen_bool(0.5)).collect();
+                for syndrome in [h.mul_vec(&error), random] {
+                    let mut suspicion: Vec<f64> = (0..n)
+                        .map(|c| if error[c] { 2.0 } else { 0.0 } + rng.gen_range(-1.0..1.0))
+                        .collect();
+                    distort_scores(&mut suspicion, shape, &mut rng);
+                    tally(assert_osd_matches_oracle(
+                        &osd, &mut oracle, &syndrome, &suspicion, &mut scratch,
+                    ));
+                }
+            }
+        }
+        prop_assert!(consistent > 0 && inconsistent > 0, "{consistent} / {inconsistent}");
     }
 }
 
