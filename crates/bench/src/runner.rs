@@ -1,7 +1,7 @@
 //! The shared figure runner every bench binary fronts.
 //!
 //! A figure binary is three lines: pick codes, call its `cyclone::experiments`
-//! declaration, format rows into a [`Table`](crate::Table). Everything else —
+//! declaration, format rows into a [`Table`]. Everything else —
 //! command-line parsing, Monte-Carlo configuration, sweep-cache control, and
 //! table/CSV/JSON emission — lives here, so the 17 binaries share one frontend
 //! instead of 17 copies of the loop.

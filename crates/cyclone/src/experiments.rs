@@ -1,7 +1,7 @@
 //! Experiment runners that regenerate every figure of the paper's evaluation.
 //!
 //! Every Monte-Carlo figure is a thin declaration: it assembles a
-//! [`ScenarioSpec`](crate::sweep::ScenarioSpec) (codesigns from the
+//! [`ScenarioSpec`] (codesigns from the
 //! [`registry`](crate::registry) × codes × operating points) and hands it to the
 //! [`sweep`](crate::sweep) engine, which parallelizes the points, caches results in
 //! `sweeps/<figure>.json`, and keeps everything bit-identical at any thread count.

@@ -7,8 +7,9 @@
 //!
 //! * executes every point across [`decoder::memory::estimate_points`]'s worker pool —
 //!   workers claim whole points, and once every point is started an idle worker
-//!   joins the fixed-budget point with the most unclaimed 64-shot chunks, so a
-//!   figure scales with the host core count even when one slow point dominates;
+//!   joins the point (fixed-budget or adaptive) with the most unclaimed 64-shot
+//!   chunks, so a figure scales with the host core count even when one slow
+//!   point dominates;
 //! * is deterministic at any thread count: every point is evaluated with the same
 //!   per-shot RNG streams derived from [`MemoryConfig::seed`] (the workspace's
 //!   `0xC1C1_0DE5` convention, shared with `decoder::memory`), so results are
@@ -26,15 +27,13 @@
 //!   actually spent so a cached point is reused whenever it meets-or-exceeds the
 //!   requested precision (cache schema 2; schema-1 fixed-shot files stay readable).
 
-use decoder::memory::{
-    estimate_points_adaptive_in, LerEstimate, LerPoint, MemoryConfig, PrecisionTarget,
-};
+use decoder::cache::atomic_write;
+use decoder::memory::{estimate_points, LerEstimate, LerPoint, MemoryConfig, PrecisionTarget};
 use noise::ChannelSpec;
 use qec::CssCode;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version tag written to cache files. Schema 2 added the `mode` header and
 /// meets-or-exceeds reuse of per-entry shot counts; schema 3 added the per-entry
@@ -241,8 +240,9 @@ pub struct SweepOptions {
     pub cache_dir: Option<PathBuf>,
     /// Default precision target: `Some` switches every point (without its own
     /// [`OperatingPoint::precision`] override) to adaptive stop-at-precision
-    /// sampling; `None` keeps the fixed `config.shots` budget, bit-identical to the
-    /// engine before adaptive sampling existed.
+    /// sampling, whose 64-shot chunks idle workers share like a fixed point's;
+    /// `None` keeps the fixed `config.shots` budget, bit-identical to the engine
+    /// before adaptive sampling existed.
     pub precision: Option<PrecisionTarget>,
     /// Default error channel: `Some` samples every point (without its own
     /// [`OperatingPoint::channel`] override) under this spec; `None` keeps the
@@ -422,8 +422,8 @@ impl SweepResult {
 }
 
 /// Executes a scenario sweep: cache lookup, parallel estimation of the misses
-/// (whole points, with idle workers sharing the last points' shot chunks), cache
-/// write-back.
+/// (whole points, with idle workers sharing the last points' 64-shot chunks,
+/// adaptive points included), cache write-back.
 ///
 /// # Panics
 ///
@@ -487,19 +487,11 @@ pub fn run_sweep(spec: &ScenarioSpec, options: &SweepOptions) -> SweepResult {
                     p: point.p,
                     latency: point.latency,
                     channel: options.channel_for(point),
+                    target: options.target_for(point),
                 }
             })
             .collect();
-        let targets: Vec<Option<PrecisionTarget>> = group
-            .iter()
-            .map(|&i| options.target_for(&spec.points[i]))
-            .collect();
-        let fresh = estimate_points_adaptive_in(
-            &jobs,
-            &targets,
-            &options.config,
-            options.decode_cache_dir.as_deref(),
-        );
+        let fresh = estimate_points(&jobs, &options.config, options.decode_cache_dir.as_deref());
         for (&i, est) in group.iter().zip(fresh) {
             resolved.insert(i, (est, false));
         }
@@ -707,40 +699,6 @@ fn store_cache(
     let mut text = serde_json::to_string(&Value::Object(root));
     text.push('\n');
     atomic_write(path, &text)
-}
-
-/// Writes `text` to `path` atomically: the bytes land in a uniquely named temp file
-/// in the same directory (same filesystem, so the rename cannot degrade to a
-/// copy), which is then renamed over the destination. A crash mid-write leaves at
-/// worst a stray temp file; concurrent writers sharing one cache directory each
-/// publish a complete file, and readers only ever observe one of the complete
-/// versions — never a torn mix.
-pub(crate) fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
-    static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    if let Some(parent) = dir {
-        std::fs::create_dir_all(parent)?;
-    }
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "path has no file name")
-        })?
-        .to_string_lossy()
-        .into_owned();
-    let tmp_name = format!(
-        ".{file_name}.tmp.{}.{}",
-        std::process::id(),
-        TEMP_NONCE.fetch_add(1, Ordering::Relaxed)
-    );
-    let tmp = match dir {
-        Some(parent) => parent.join(&tmp_name),
-        None => PathBuf::from(&tmp_name),
-    };
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
 }
 
 #[cfg(test)]

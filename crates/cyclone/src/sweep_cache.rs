@@ -19,7 +19,8 @@
 //! their entries simply lack the `channel` field and read back as `"uniform"`,
 //! exactly the channel those entries were sampled under.
 
-use crate::sweep::{atomic_write, CACHE_SCHEMA};
+use crate::sweep::CACHE_SCHEMA;
+use decoder::cache::atomic_write;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -28,6 +28,7 @@
 //! without ever replaying a correction from a foreign matrix or channel.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Associativity: ways per set. Four ways absorb the conflict chains that a
@@ -130,7 +131,8 @@ impl DecodeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `slots` is not a power of two at least [`WAYS`].
+    /// Panics if `slots` is not a power of two holding at least one full set
+    /// (4 slots).
     pub fn with_slots(slots: usize) -> Self {
         assert!(
             slots.is_power_of_two() && slots >= WAYS,
@@ -288,14 +290,14 @@ impl DecodeCache {
     }
 
     /// Serializes every valid entry (plus the context tag and word shapes) to
-    /// `path` as JSON, via an atomic temp-file + rename in the same directory,
-    /// so readers never observe a torn file. Entries are pure decoder outputs,
+    /// `path` as JSON, via [`atomic_write`], so readers never observe a torn
+    /// file. Entries are pure decoder outputs,
     /// so the file is a throwaway accelerator: deleting it at any time only
     /// costs warm-up misses, never correctness.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from writing or renaming the temp file.
+    /// Returns any I/O error from [`atomic_write`].
     pub fn save_to(&self, path: &Path) -> std::io::Result<()> {
         use serde_json::Value;
         use std::collections::BTreeMap;
@@ -330,29 +332,7 @@ impl DecodeCache {
         root.insert("entries".to_string(), Value::Array(entries));
         let text = serde_json::to_string(&Value::Object(root));
 
-        // Atomic publish: unique temp name in the same directory, then rename.
-        let dir = path.parent().unwrap_or_else(|| Path::new("."));
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or("decode-cache.json");
-        // The nonce only has to be unique among concurrent writers of one
-        // path: pid distinguishes processes, a process-wide counter
-        // distinguishes threads. (A wall-clock nonce would work too, but this
-        // module is decode-hot-path territory where `cyclone-lint` bans
-        // `SystemTime` outright — save paths included, so the ban stays a
-        // simple module-wide invariant.)
-        static SAVE_NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = SAVE_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tmp = dir.join(format!(".{name}.tmp.{}.{nonce}", std::process::id()));
-        std::fs::write(&tmp, text)?;
-        match std::fs::rename(&tmp, path) {
-            Ok(()) => Ok(()),
-            Err(err) => {
-                let _ = std::fs::remove_file(&tmp);
-                Err(err)
-            }
-        }
+        atomic_write(path, &text)
     }
 
     /// Loads persisted entries from `path` into the cache, which must already
@@ -432,6 +412,44 @@ fn hex_to_words(text: &str, out: &mut [u64]) -> Result<(), ()> {
         return Err(());
     }
     Ok(())
+}
+
+/// Writes `text` to `path` atomically, creating the parent directory if needed:
+/// the bytes land in a uniquely named temp file `.{name}.tmp.{pid}.{nonce}` in
+/// the same directory (same filesystem, so the rename cannot degrade to a copy),
+/// which is then renamed over the destination. A crash mid-write leaves at worst
+/// a stray temp file; concurrent writers sharing one directory each publish a
+/// complete file, and readers only ever observe one of the complete versions —
+/// never a torn mix. The nonce only has to be unique among concurrent writers:
+/// the pid distinguishes processes, a process-wide counter threads (no clock, so
+/// the decode modules stay free of wall-clock inputs).
+///
+/// # Errors
+///
+/// Returns the first I/O error from creating the directory, writing the temp
+/// file, or renaming it (the temp file is then removed), and `InvalidInput` if
+/// `path` has no file name.
+pub fn atomic_write(path: &Path, text: &str) -> std::io::Result<()> {
+    static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
+    let Some(name) = path.file_name() else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "path has no file name",
+        ));
+    };
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent)?;
+    }
+    let nonce = TEMP_NONCE.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_file_name(format!(
+        ".{}.tmp.{}.{nonce}",
+        name.to_string_lossy(),
+        std::process::id()
+    ));
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
 }
 
 #[cfg(test)]

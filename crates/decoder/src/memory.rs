@@ -5,11 +5,12 @@
 //! extraction round is converted into a decoherence error (Pauli twirling), added to
 //! the base circuit-level error rate, and the resulting effective per-qubit error rate
 //! drives independent X/Z error sampling, BP+OSD decoding, and logical-failure
-//! counting (see DESIGN.md, substitution 3). Sampling is parallelized with `std`
-//! scoped threads; every shot derives its own RNG stream from the base seed, so the
-//! estimate is identical for any worker count. Each worker owns a [`ShotScratch`]
-//! (error/syndrome/residual buffers plus one [`DecoderScratch`] per sector decoder),
-//! so steady-state sampling performs zero heap allocation.
+//! counting (see DESIGN.md, substitution 3). One pool of `std` scoped threads
+//! samples every run and sweep in 64-shot chunks; every shot derives its own RNG
+//! stream from the base seed, so the estimate is identical for any worker count.
+//! Each worker owns a [`BatchScratch`] (bit-sliced error/syndrome words plus one
+//! [`DecoderScratch`], decode cache and weight-1 table per sector), so
+//! steady-state sampling performs zero heap allocation.
 
 use crate::bposd::{BpOsdDecoder, DecodeMethod};
 use crate::cache::DecodeCache;
@@ -21,8 +22,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// An estimated logical error rate with sampling statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -392,8 +393,8 @@ pub struct MemoryExperiment<'a> {
     /// Decode-context base tag of the Z-sector decoder (`Hx` + cap).
     z_ctx: u64,
     /// Directory for persisted decode caches: when set, every Monte-Carlo worker
-    /// loads matching per-sector cache files at startup and stores its caches
-    /// back when it finishes (see [`MemoryExperiment::set_decode_cache_dir`]).
+    /// loads matching per-sector cache files before it samples and stores its
+    /// caches back after (see [`MemoryExperiment::set_decode_cache_dir`]).
     decode_cache_dir: Option<PathBuf>,
 }
 
@@ -521,9 +522,8 @@ impl<'a> MemoryExperiment<'a> {
     }
 
     /// Sets (or clears) the persistent decode-cache directory. When set, every
-    /// worker of [`run`](MemoryExperiment::run) and
-    /// [`run_adaptive_batched`](MemoryExperiment::run_adaptive_batched) loads
-    /// matching per-sector cache files before sampling and stores its caches
+    /// worker of [`run`](MemoryExperiment::run) loads matching per-sector
+    /// cache files before sampling and stores its caches
     /// back afterwards (atomic rename, last writer wins — every complete file is
     /// valid, entries are pure decoder outputs). Files are keyed by code label,
     /// sector, and the full decode-context digest (matrix + BP cap + priors), so
@@ -1013,260 +1013,36 @@ impl<'a> MemoryExperiment<'a> {
         w1.built = true;
     }
 
-    /// Runs the full Monte-Carlo experiment in parallel and returns the LER estimate.
+    /// Runs the Monte-Carlo experiment and returns the LER estimate: a fixed
+    /// budget of `config.shots` shots, or, with a `target`, adaptive
+    /// stop-at-precision sampling capped at `target.max_shots` (`config.shots`
+    /// is then ignored).
     ///
-    /// Each shot is seeded independently from [`MemoryConfig::seed`], so the estimate
-    /// is bit-identical for every `threads` setting (workers pull 64-shot batches
-    /// from a shared counter purely for load balancing, and the bit-sliced batch
-    /// path is bit-identical to the scalar per-shot path). Every worker owns one
-    /// [`BatchScratch`], so sampling allocates only at worker startup, never per
-    /// shot. The pool never exceeds the run's number of 64-shot batches.
-    pub fn run(&self, config: &MemoryConfig) -> LerEstimate {
-        // A zero-shot configuration yields the explicit empty estimate instead of
-        // fabricating a phantom 1-shot zero-failure floor.
-        if config.shots == 0 {
-            return LerEstimate::empty();
-        }
-        let shots = config.shots;
-        let workers = config.worker_count().min(shots.div_ceil(64));
-        let failures = AtomicUsize::new(0);
-        let next_chunk = AtomicUsize::new(0);
-        // Warm-up: on structured channels, pre-seed the decode caches by
-        // sampling a short shot prefix once on a single scratch, so the
-        // compulsory misses of the hottest syndromes (and the weight-1 table
-        // builds) are paid once instead of once per worker — every worker then
-        // starts from a *clone* of the warm scratch. Masks are discarded and
-        // the workers re-sample the prefix from the same per-shot RNG streams,
-        // so failure counting and bit-identity are untouched: cache entries are
-        // pure decoder outputs. Skipped for uniform channels (no decode cache
-        // on that path), for runs too small to amortize the replay, and for a
-        // single worker, whose own scratch warms as it samples.
-        let warm_up =
-            self.channel.has_measurement_noise() && shots > DECODE_WARMUP_SHOTS && workers > 1;
-        let warm = warm_up.then(|| {
-            let mut batch = BatchScratch::new();
-            if let Some(dir) = &self.decode_cache_dir {
-                self.load_decode_caches(dir, &mut batch);
-            }
-            let mut start = 0;
-            while start < DECODE_WARMUP_SHOTS {
-                let count = 64.min(DECODE_WARMUP_SHOTS - start);
-                let _ = self.sample_batch_with(config, start, count, &mut batch);
-                start += count;
-            }
-            if let Some(dir) = &self.decode_cache_dir {
-                // Best-effort, like the per-worker store.
-                let _ = self.store_decode_caches(dir, &batch);
-            }
-            batch
-        });
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| self.sample_chunks(config, warm.as_ref(), &next_chunk, &failures));
-            }
-        });
-        LerEstimate::from_counts(shots, failures.load(Ordering::Relaxed))
-    }
-
-    /// One worker's share of a fixed-budget run over shots `0..config.shots`,
-    /// shared by [`run`](MemoryExperiment::run)'s workers and the
-    /// [`estimate_points_adaptive_in`] pool: claims 64-shot chunks from
-    /// `next_chunk` until none is left, samples them on its own
-    /// [`BatchScratch`] (a clone of `warm`, or a fresh scratch loaded from the
-    /// decode-cache directory), adds their failures to `failures` and stores
-    /// its decode caches back. A worker that claims no chunk touches neither a
-    /// scratch nor the disk. Every chunk samples its shots' own RNG streams, so
-    /// the total does not depend on which worker sampled which chunk.
-    fn sample_chunks(
-        &self,
-        config: &MemoryConfig,
-        warm: Option<&BatchScratch>,
-        next_chunk: &AtomicUsize,
-        failures: &AtomicUsize,
-    ) {
-        let shots = config.shots;
-        let chunks = shots.div_ceil(64);
-        let claim = || {
-            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-            (chunk < chunks).then_some(chunk * 64)
-        };
-        let Some(mut start) = claim() else {
-            return;
-        };
-        let mut batch = match warm {
-            Some(warm) => warm.clone(),
-            None => {
-                let mut batch = BatchScratch::new();
-                if let Some(dir) = &self.decode_cache_dir {
-                    self.load_decode_caches(dir, &mut batch);
-                }
-                batch
-            }
-        };
-        let mut local_failures = 0usize;
-        loop {
-            let count = 64.min(shots - start);
-            let mask = self.sample_batch_with(config, start, count, &mut batch);
-            local_failures += mask.count_ones() as usize;
-            match claim() {
-                Some(next) => start = next,
-                None => break,
-            }
-        }
-        if let Some(dir) = &self.decode_cache_dir {
-            // Persistence is best-effort: a read-only directory must not fail
-            // the estimate.
-            let _ = self.store_decode_caches(dir, &batch);
-        }
-        failures.fetch_add(local_failures, Ordering::Relaxed);
-    }
-
-    /// Runs an adaptive (stop-at-precision) Monte-Carlo experiment with the default
-    /// execution batch size ([`ADAPTIVE_BATCH`]).
-    ///
-    /// Shots use exactly the per-shot RNG streams of [`MemoryExperiment::run`]
-    /// (derived from [`MemoryConfig::seed`]), and the run stops at the smallest shot
-    /// count meeting `target` (see [`PrecisionTarget`]), capped by
-    /// `target.max_shots`. The returned estimate is therefore bit-identical to a
-    /// fixed-budget [`run`](MemoryExperiment::run) of the same shot count — the
-    /// adaptive path only *chooses* the budget, it never changes the sample.
-    /// `config.shots` is ignored; `config.threads` parallelizes within each batch.
-    pub fn run_adaptive(&self, config: &MemoryConfig, target: &PrecisionTarget) -> LerEstimate {
-        self.run_adaptive_batched(config, target, ADAPTIVE_BATCH)
-    }
-
-    /// [`run_adaptive`](MemoryExperiment::run_adaptive) with an explicit initial
-    /// execution batch size.
-    ///
-    /// Batching only controls how many shots are sampled between stop-rule
-    /// evaluations — the stopping decision is made on per-shot prefixes of the
-    /// batch, so the result is bit-identical for every `batch` and every
-    /// `config.threads` setting. Batches grow geometrically (doubling up to
-    /// [`ADAPTIVE_BATCH_CAP`]) so a cap-bound point pays O(log) batch handoffs
-    /// instead of one per `batch` shots.
-    pub fn run_adaptive_batched(
-        &self,
-        config: &MemoryConfig,
-        target: &PrecisionTarget,
-        batch: usize,
-    ) -> LerEstimate {
-        let max_shots = target.max_shots;
-        if max_shots == 0 {
-            return LerEstimate::empty();
-        }
-        let mut batch = batch.max(1);
-        let workers = config.worker_count();
-        let mut done = 0usize;
-        let mut failures = 0usize;
-        let mut scratch = BatchScratch::new();
-        if let Some(dir) = &self.decode_cache_dir {
-            self.load_decode_caches(dir, &mut scratch);
-        }
-        let mut flags: Vec<AtomicBool> = Vec::new();
-        let mut result = None;
-        'sampling: while done < max_shots {
-            let n = batch.min(max_shots - done);
-            batch = batch.saturating_mul(2).min(ADAPTIVE_BATCH_CAP);
-            let chunks = n.div_ceil(64);
-            let pool = workers.min(chunks);
-            if pool == 1 {
-                // Single-worker fast path: sample bit-sliced 64-shot chunks but
-                // still evaluate the stop rule after every shot — the decision
-                // uses only the per-shot prefix, so stopping mid-chunk discards
-                // already-sampled lanes without affecting the returned estimate.
-                let mut off = 0usize;
-                while off < n {
-                    let c = 64.min(n - off);
-                    let mask = self.sample_batch_with(config, done + off, c, &mut scratch);
-                    for k in 0..c {
-                        if (mask >> k) & 1 == 1 {
-                            failures += 1;
-                        }
-                        if target.met_by(done + off + k + 1, failures) {
-                            result = Some(LerEstimate::from_counts(done + off + k + 1, failures));
-                            break 'sampling;
-                        }
-                    }
-                    off += c;
-                }
-            } else {
-                // Sample the whole batch in parallel (each 64-shot chunk owns its
-                // seeded streams and disjoint flag slots), then scan the flags in
-                // shot order for the earliest prefix meeting the target.
-                flags.clear();
-                flags.resize_with(n, || AtomicBool::new(false));
-                let next = AtomicUsize::new(0);
-                std::thread::scope(|scope| {
-                    for _ in 0..pool {
-                        scope.spawn(|| {
-                            let mut batch = BatchScratch::new();
-                            if let Some(dir) = &self.decode_cache_dir {
-                                self.load_decode_caches(dir, &mut batch);
-                            }
-                            loop {
-                                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                                if chunk >= chunks {
-                                    break;
-                                }
-                                let start = chunk * 64;
-                                let c = 64.min(n - start);
-                                let mask =
-                                    self.sample_batch_with(config, done + start, c, &mut batch);
-                                for k in 0..c {
-                                    if (mask >> k) & 1 == 1 {
-                                        flags[start + k].store(true, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            if let Some(dir) = &self.decode_cache_dir {
-                                let _ = self.store_decode_caches(dir, &batch);
-                            }
-                        });
-                    }
-                });
-                for (k, flag) in flags.iter().enumerate() {
-                    if flag.load(Ordering::Relaxed) {
-                        failures += 1;
-                    }
-                    if target.met_by(done + k + 1, failures) {
-                        result = Some(LerEstimate::from_counts(done + k + 1, failures));
-                        break 'sampling;
-                    }
-                }
-            }
-            done += n;
-        }
-        if let Some(dir) = &self.decode_cache_dir {
-            // Best-effort: the single-worker scratch accumulated this run's
-            // syndromes (multi-worker rounds stored theirs per worker above).
-            let _ = self.store_decode_caches(dir, &scratch);
-        }
-        result.unwrap_or_else(|| LerEstimate::from_counts(done, failures))
+    /// An adaptive run stops at the smallest shot count meeting `target` (see
+    /// [`PrecisionTarget`]), so it returns exactly the fixed-budget estimate of
+    /// that shot count: the target only *chooses* the budget, it never changes
+    /// the sample. Each shot samples its own stream
+    /// ([`MemoryConfig::shot_seed`]), so the estimate is bit-identical for every
+    /// `threads` setting (workers pull 64-shot chunks purely for load
+    /// balancing, and the bit-sliced batch path is bit-identical to the scalar
+    /// per-shot path). Every worker owns one [`BatchScratch`], so sampling
+    /// allocates only at worker startup, never per shot. The pool never exceeds
+    /// the run's number of 64-shot chunks.
+    pub fn run(&self, config: &MemoryConfig, target: Option<&PrecisionTarget>) -> LerEstimate {
+        let job = Job::new(config.shots, target.copied());
+        sample_pool(Source::Shared(self), vec![job], config)[0]
     }
 }
 
-/// Shot-prefix length of the structured-channel decode-cache warm-up in
-/// [`MemoryExperiment::run`]: three 64-shot batches, enough to populate the
-/// caches with the hottest low-weight syndromes (and build the weight-1 tables)
-/// before the worker pool fans out, small enough that replaying the prefix is
-/// noise. Warm-up never affects results — cache entries are pure decoder
-/// outputs and the workers re-sample the prefix from the same per-shot RNG
-/// streams.
+/// Shot-prefix length of the structured-channel decode-cache warm-up that
+/// perfbench's traced replay performs before sampling a point. No sampler in
+/// this crate uses it; it stays public only for that replay, and goes when the
+/// replay mirrors the chunk pool.
 pub const DECODE_WARMUP_SHOTS: usize = 192;
-
-/// Default initial execution batch size of [`MemoryExperiment::run_adaptive`]:
-/// large enough to amortize thread handoffs, small enough that a high-failure point
-/// stops within a few batches. Batch sizes never affect results, only scheduling.
-pub const ADAPTIVE_BATCH: usize = 256;
-
-/// Ceiling of the geometric batch growth in
-/// [`MemoryExperiment::run_adaptive_batched`]: bounds both the flag-buffer size
-/// and the shots sampled past a satisfiable stopping point.
-pub const ADAPTIVE_BATCH_CAP: usize = 16_384;
 
 /// One operating point of a logical-error-rate sweep: a code evaluated at physical
 /// error rate `p` with a syndrome-extraction round latency of `latency` seconds,
-/// optionally under a structured error channel.
+/// optionally under a structured error channel and a precision target.
 #[derive(Debug, Clone, Copy)]
 pub struct LerPoint<'a> {
     /// The code under test.
@@ -1278,199 +1054,301 @@ pub struct LerPoint<'a> {
     /// How the hardware model is lifted to a per-qubit channel: `None` (or
     /// [`ChannelSpec::Uniform`]) is the historical scalar path, bit for bit.
     pub channel: Option<&'a ChannelSpec>,
+    /// `None` samples the fixed [`MemoryConfig::shots`] budget; `Some` samples
+    /// adaptively, as [`MemoryExperiment::run`] does with a target.
+    pub target: Option<PrecisionTarget>,
 }
 
-/// Estimates every point of a sweep across a shared worker pool, returning the
+/// Estimates every point of a sweep across one shared worker pool, returning the
 /// estimates in input order.
 ///
-/// This is the parallel primitive under the `cyclone::sweep` engine. Sweeps are
-/// embarrassingly parallel across operating points, so workers claim whole
-/// points in input order; once every point is started, a worker that would
-/// idle joins the started fixed-budget point with the most unclaimed 64-shot
-/// chunks and samples them alongside its owner (as [`MemoryExperiment::run`]'s
-/// workers share one point's chunks), so one slow point no longer leaves the
-/// rest of the pool idle. Every point is evaluated exactly as
-/// [`logical_error_rate`] would — same shot count, same per-shot RNG streams
-/// derived from [`MemoryConfig::seed`] — so the result vector is bit-identical
-/// to the serial loop at every worker count.
+/// This is the parallel primitive under the `cyclone::sweep` engine. Workers
+/// claim whole points in input order; once every point is started, a worker
+/// that would idle joins the point with the most unclaimed 64-shot chunks —
+/// fixed-budget or adaptive — and samples them alongside its owner, so one
+/// slow point never leaves the rest of the pool idle. Every point is evaluated
+/// exactly as a serial [`MemoryExperiment::run`] at its model, channel and
+/// target would — same shot count, same per-shot RNG streams — so the result
+/// vector is bit-identical to the serial loop at every worker count.
 ///
 /// Workers reuse one [`MemoryExperiment`] (the expensive-to-build sector decoder
 /// pair) per distinct code, moving it between operating points with
-/// [`MemoryExperiment::set_model`]. `config.threads` sizes the pool (see
-/// [`MemoryConfig::worker_count`]), capped at the sweep's number of work units.
-pub fn estimate_points(points: &[LerPoint<'_>], config: &MemoryConfig) -> Vec<LerEstimate> {
-    estimate_points_adaptive(points, &vec![None; points.len()], config)
-}
-
-/// [`estimate_points`] with an optional [`PrecisionTarget`] per point: `None` runs
-/// the fixed `config.shots` budget exactly as before; `Some(target)` samples the
-/// point adaptively (stop at precision, capped by `target.max_shots`, see
-/// [`MemoryExperiment::run_adaptive`]). Fixed and adaptive points may be mixed in
-/// one call and share the pool. An adaptive point is one work unit: it runs
-/// whole on the worker that claims it, and no other worker joins it.
-///
-/// # Panics
-///
-/// Panics if `targets` is not exactly one entry per point.
-pub fn estimate_points_adaptive(
+/// [`MemoryExperiment::set_model`]. When `decode_cache_dir` is set, every
+/// worker loads matching per-sector decode-cache files before sampling a point
+/// and stores them back after (see
+/// [`MemoryExperiment::set_decode_cache_dir`]), so sweep re-runs skip the
+/// compulsory-miss wall; entries are exact decoder outputs, so estimates are
+/// bit-identical with or without the directory. `config.threads` sizes the pool
+/// (see [`MemoryConfig::worker_count`]), capped at the sweep's number of
+/// 64-shot chunks.
+pub fn estimate_points(
     points: &[LerPoint<'_>],
-    targets: &[Option<PrecisionTarget>],
-    config: &MemoryConfig,
-) -> Vec<LerEstimate> {
-    estimate_points_adaptive_in(points, targets, config, None)
-}
-
-/// [`estimate_points_adaptive`] with an optional persistent decode-cache
-/// directory: when `decode_cache_dir` is set, every point's experiment loads
-/// matching per-sector decode-cache files before sampling and stores them back
-/// after (see [`MemoryExperiment::set_decode_cache_dir`]), so sweep re-runs and
-/// refinement passes skip the compulsory-miss wall. Cache files never affect
-/// estimates — entries are exact decoder outputs keyed by the full decode
-/// context — so results remain bit-identical with or without the directory.
-///
-/// # Panics
-///
-/// Panics if `targets` is not exactly one entry per point.
-pub fn estimate_points_adaptive_in(
-    points: &[LerPoint<'_>],
-    targets: &[Option<PrecisionTarget>],
     config: &MemoryConfig,
     decode_cache_dir: Option<&Path>,
 ) -> Vec<LerEstimate> {
-    assert_eq!(
-        points.len(),
-        targets.len(),
-        "need exactly one precision target slot per point"
-    );
-    // Every participant samples on its own thread; both the fixed and the
-    // adaptive estimate are thread-count invariant, so this only affects
-    // scheduling, never the values.
-    let point_config = MemoryConfig {
-        threads: 1,
-        ..*config
-    };
-    let chunks = config.shots.div_ceil(64);
-    // Work units: each 64-shot chunk of a fixed point, each whole adaptive point.
-    let units: usize = targets
+    let jobs = points
         .iter()
-        .map(|target| if target.is_some() { 1 } else { chunks })
-        .sum();
-    let workers = config.worker_count().min(units);
-    let progress: Vec<PointProgress> = points.iter().map(|_| PointProgress::default()).collect();
-    let unclaimed = |i: usize| {
-        if targets[i].is_some() {
-            0
-        } else {
-            chunks.saturating_sub(progress[i].next_chunk.load(Ordering::Relaxed))
-        }
+        .map(|point| Job::new(config.shots, point.target))
+        .collect();
+    let source = Source::Points {
+        points,
+        bp_iterations: config.bp_iterations,
+        decode_cache_dir,
     };
-    let next_point = AtomicUsize::new(0);
+    sample_pool(source, jobs, config)
+}
+
+/// Where a chunk-pool worker finds the experiment of a job.
+enum Source<'p, 'a> {
+    /// A single job on an experiment every worker shares.
+    Shared(&'p MemoryExperiment<'a>),
+    /// Job `i` is `points[i]`, sampled on the worker's own experiment for the
+    /// point's code.
+    Points {
+        points: &'p [LerPoint<'a>],
+        bp_iterations: usize,
+        decode_cache_dir: Option<&'p Path>,
+    },
+}
+
+impl<'a> Source<'_, 'a> {
+    /// The experiment of `job`. For points: the worker's cached
+    /// [`MemoryExperiment`] for the point's code (built on first use; keyed by
+    /// the code reference's address, stable for the pool's scope), moved to
+    /// the point's model and channel.
+    fn experiment<'w>(
+        &'w self,
+        own: &'w mut Vec<(*const CssCode, MemoryExperiment<'a>)>,
+        job: usize,
+    ) -> &'w MemoryExperiment<'a> {
+        let (points, bp_iterations, decode_cache_dir) = match *self {
+            Source::Shared(exp) => return exp,
+            Source::Points {
+                points,
+                bp_iterations,
+                decode_cache_dir,
+            } => (points, bp_iterations, decode_cache_dir),
+        };
+        let point = &points[job];
+        let key = std::ptr::from_ref(point.code);
+        let model = HardwareNoiseModel::new(noise::NoiseParameters::new(point.p), point.latency);
+        let slot = match own.iter().position(|(k, _)| *k == key) {
+            Some(slot) => {
+                own[slot].1.set_model(model);
+                slot
+            }
+            None => {
+                let mut exp = MemoryExperiment::new(point.code, model, bp_iterations);
+                exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
+                own.push((key, exp));
+                own.len() - 1
+            }
+        };
+        let exp = &mut own[slot].1;
+        // A structured channel replaces the uniform one set_model just
+        // installed; uniform specs skip the rebuild and keep the historical
+        // fast path byte-for-byte.
+        if let Some(spec) = point.channel.filter(|spec| !spec.is_uniform()) {
+            exp.set_channel(spec.instantiate(
+                &model,
+                point.code.num_qubits(),
+                point.code.num_stabilizers(),
+            ));
+        }
+        exp
+    }
+}
+
+/// The Monte-Carlo driver under [`MemoryExperiment::run`] and
+/// [`estimate_points`]: samples `jobs` in 64-shot chunks across one scoped
+/// worker pool and returns their estimates in input order.
+///
+/// Workers claim unstarted jobs in input order; once every job has started, a
+/// worker that would idle joins the job with the most unclaimed chunks. Every
+/// shot samples its own [`MemoryConfig::shot_seed`] stream and each job's
+/// [`Frontier`] scans failure masks in shot order, so which worker sampled
+/// which chunk never shows in an estimate.
+fn sample_pool(source: Source<'_, '_>, jobs: Vec<Job>, config: &MemoryConfig) -> Vec<LerEstimate> {
+    let chunks: usize = jobs.iter().map(Job::unclaimed).sum();
+    let workers = config.worker_count().min(chunks);
+    let next_job = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut experiments = Vec::new();
-                let mut sample = |i: usize| {
-                    let exp = point_experiment(
-                        &mut experiments,
-                        &points[i],
-                        config.bp_iterations,
-                        decode_cache_dir,
-                    );
-                    let progress = &progress[i];
-                    match &targets[i] {
-                        None => exp.sample_chunks(
-                            &point_config,
-                            None,
-                            &progress.next_chunk,
-                            &progress.failures,
-                        ),
-                        Some(target) => {
-                            let estimate = exp.run_adaptive(&point_config, target);
-                            progress.adaptive.set(estimate).expect("claimed once");
-                        }
-                    }
-                };
-                // Claim unstarted points in input order ...
+                let mut own = Vec::new();
+                // Claim unstarted jobs in input order ...
                 loop {
-                    let i = next_point.fetch_add(1, Ordering::Relaxed);
-                    if i >= points.len() {
+                    let i = next_job.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs.len() {
                         break;
                     }
-                    if targets[i].is_some() || unclaimed(i) > 0 {
-                        sample(i);
-                    }
+                    jobs[i].sample(&source, &mut own, i, config);
                 }
-                // ... then share the chunks of the started fixed-budget point
-                // with the most left, until no point has any.
-                while let Some(i) = (0..points.len())
-                    .filter(|&i| unclaimed(i) > 0)
-                    .max_by_key(|&i| unclaimed(i))
+                // ... then join the started job with the most chunks left,
+                // until no job has any.
+                while let Some(i) = (0..jobs.len())
+                    .filter(|&i| jobs[i].unclaimed() > 0)
+                    .max_by_key(|&i| jobs[i].unclaimed())
                 {
-                    sample(i);
+                    jobs[i].sample(&source, &mut own, i, config);
                 }
             });
         }
     });
-    progress
-        .into_iter()
-        .zip(targets)
-        .map(|(progress, target)| match target {
-            Some(_) => progress.adaptive.into_inner().expect("every point ran"),
-            None if config.shots == 0 => LerEstimate::empty(),
-            None => LerEstimate::from_counts(config.shots, progress.failures.into_inner()),
-        })
-        .collect()
+    jobs.into_iter().map(Job::estimate).collect()
 }
 
-/// Shared progress of one point in the [`estimate_points_adaptive_in`] pool.
-/// The counters publish no other data and are read as results only after the
-/// pool's scope has joined every worker, so `Relaxed` suffices.
-#[derive(Default)]
-struct PointProgress {
-    /// Next unclaimed 64-shot chunk of a fixed-budget point.
+/// One job of [`sample_pool`]: shots `0..cap` of one experiment, stopped at the
+/// first shot prefix that meets `target`. The atomics publish no other data:
+/// `stop` is written and checked under the frontier lock, a stale read outside
+/// it only samples a chunk the frontier then discards, and the estimate is read
+/// after the pool's scope has joined every worker — so `Relaxed` suffices.
+struct Job {
+    cap: usize,
+    target: Option<PrecisionTarget>,
+    /// Next unclaimed 64-shot chunk.
     next_chunk: AtomicUsize,
-    /// Failures over the fixed-budget point's sampled chunks.
-    failures: AtomicUsize,
-    /// An adaptive point's estimate, set by the one worker that ran it.
-    adaptive: OnceLock<LerEstimate>,
+    /// The shot sampling ends at: `cap` until the frontier finds the prefix
+    /// meeting the target. No chunk starting at or past it is claimed.
+    stop: AtomicUsize,
+    frontier: Mutex<Frontier>,
 }
 
-/// A pool worker's experiment for `point`: its cached [`MemoryExperiment`] for
-/// the point's code (built on first use; keyed by the code reference's
-/// address, stable for the pool's scope), moved to the point's model and
-/// channel.
-fn point_experiment<'e, 'a>(
-    experiments: &'e mut Vec<(*const CssCode, MemoryExperiment<'a>)>,
-    point: &LerPoint<'a>,
-    bp_iterations: usize,
-    decode_cache_dir: Option<&Path>,
-) -> &'e MemoryExperiment<'a> {
-    let key = std::ptr::from_ref(point.code);
-    let model = HardwareNoiseModel::new(noise::NoiseParameters::new(point.p), point.latency);
-    let slot = match experiments.iter().position(|(k, _)| *k == key) {
-        Some(slot) => {
-            experiments[slot].1.set_model(model);
-            slot
+/// The in-order failure scan of one [`Job`].
+#[derive(Default)]
+struct Frontier {
+    /// Shots scanned, a prefix of the job's shots.
+    shots: usize,
+    /// Failures among the scanned shots.
+    failures: usize,
+    /// `(start, count, mask)` of chunks that finished ahead of the scan:
+    /// typically at most one per other worker, never one entry per shot.
+    ahead: Vec<(usize, usize, u64)>,
+}
+
+impl Job {
+    /// A job of `shots` fixed shots, or of at most `target.max_shots` adaptive
+    /// ones.
+    fn new(shots: usize, target: Option<PrecisionTarget>) -> Self {
+        let cap = target.map_or(shots, |target| target.max_shots);
+        Job {
+            cap,
+            target,
+            next_chunk: AtomicUsize::new(0),
+            stop: AtomicUsize::new(cap),
+            frontier: Mutex::default(),
         }
-        None => {
-            let mut exp = MemoryExperiment::new(point.code, model, bp_iterations);
-            exp.set_decode_cache_dir(decode_cache_dir.map(Path::to_path_buf));
-            experiments.push((key, exp));
-            experiments.len() - 1
-        }
-    };
-    let exp = &mut experiments[slot].1;
-    // A structured channel replaces the uniform one set_model just installed;
-    // uniform specs skip the rebuild and keep the historical fast path
-    // byte-for-byte.
-    if let Some(spec) = point.channel.filter(|spec| !spec.is_uniform()) {
-        exp.set_channel(spec.instantiate(
-            &model,
-            point.code.num_qubits(),
-            point.code.num_stabilizers(),
-        ));
     }
-    exp
+
+    /// Claims the next chunk; returns its first shot, or `None` once no chunk
+    /// before the stop shot is left.
+    fn claim(&self) -> Option<usize> {
+        let start = self.next_chunk.fetch_add(1, Ordering::Relaxed) * 64;
+        (start < self.stop.load(Ordering::Relaxed)).then_some(start)
+    }
+
+    /// Chunks before the stop shot nobody has claimed yet.
+    fn unclaimed(&self) -> usize {
+        let chunks = self.stop.load(Ordering::Relaxed).div_ceil(64);
+        chunks.saturating_sub(self.next_chunk.load(Ordering::Relaxed))
+    }
+
+    /// One worker's share of the job: claims chunks until none is left and
+    /// samples them on its own [`BatchScratch`], loaded from and stored back
+    /// to the experiment's decode-cache directory when one is set. A worker
+    /// that claims no chunk touches neither the experiment, a scratch nor the
+    /// disk.
+    fn sample<'a>(
+        &self,
+        source: &Source<'_, 'a>,
+        own: &mut Vec<(*const CssCode, MemoryExperiment<'a>)>,
+        job: usize,
+        config: &MemoryConfig,
+    ) {
+        let Some(mut start) = self.claim() else {
+            return;
+        };
+        let exp = source.experiment(own, job);
+        let mut batch = BatchScratch::new();
+        if let Some(dir) = &exp.decode_cache_dir {
+            exp.load_decode_caches(dir, &mut batch);
+        }
+        loop {
+            let count = 64.min(self.cap - start);
+            let mask = exp.sample_batch_with(config, start, count, &mut batch);
+            self.finish(start, count, mask);
+            match self.claim() {
+                Some(next) => start = next,
+                None => break,
+            }
+        }
+        if let Some(dir) = &exp.decode_cache_dir {
+            // Persistence is best-effort: a read-only directory must not fail
+            // the estimate.
+            let _ = exp.store_decode_caches(dir, &batch);
+        }
+    }
+
+    /// Hands a sampled chunk's failure mask to the frontier. Masks are scanned
+    /// strictly in shot order, so a chunk that finishes ahead of the scan waits
+    /// in `ahead`; once a prefix meets the target, its length is published as
+    /// the stop shot and every later mask is discarded.
+    fn finish(&self, start: usize, count: usize, mask: u64) {
+        let mut frontier = self.frontier.lock().expect("no sampling worker panicked");
+        if start >= self.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        if start != frontier.shots {
+            frontier.ahead.push((start, count, mask));
+            return;
+        }
+        let (mut count, mut mask) = (count, mask);
+        loop {
+            if let Some(stop) = frontier.scan(count, mask, self.target.as_ref()) {
+                self.stop.store(stop, Ordering::Relaxed);
+                frontier.ahead.clear();
+                return;
+            }
+            let shots = frontier.shots;
+            let Some(next) = frontier.ahead.iter().position(|&(s, ..)| s == shots) else {
+                return;
+            };
+            (_, count, mask) = frontier.ahead.swap_remove(next);
+        }
+    }
+
+    /// The job's estimate, once every claimed chunk has finished.
+    fn estimate(self) -> LerEstimate {
+        let frontier = self
+            .frontier
+            .into_inner()
+            .expect("no sampling worker panicked");
+        debug_assert_eq!(frontier.shots, self.stop.into_inner(), "unscanned chunks");
+        match frontier.shots {
+            0 => LerEstimate::empty(),
+            shots => LerEstimate::from_counts(shots, frontier.failures),
+        }
+    }
+}
+
+impl Frontier {
+    /// Scans the next `count` shots' failure bits; returns the length of the
+    /// first prefix meeting `target`, if one does.
+    fn scan(&mut self, count: usize, mask: u64, target: Option<&PrecisionTarget>) -> Option<usize> {
+        let Some(target) = target else {
+            self.shots += count;
+            self.failures += mask.count_ones() as usize;
+            return None;
+        };
+        for k in 0..count {
+            self.shots += 1;
+            self.failures += (mask >> k & 1) as usize;
+            if target.met_by(self.shots, self.failures) {
+                return Some(self.shots);
+            }
+        }
+        None
+    }
 }
 
 // cyclone-lint: hot-path
@@ -1540,7 +1418,7 @@ pub fn logical_error_rate(
     config: &MemoryConfig,
 ) -> LerEstimate {
     let model = HardwareNoiseModel::new(noise::NoiseParameters::new(p), latency);
-    MemoryExperiment::new(code, model, config.bp_iterations).run(config)
+    MemoryExperiment::new(code, model, config.bp_iterations).run(config, None)
 }
 
 #[cfg(test)]
@@ -1554,10 +1432,13 @@ mod tests {
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(1e-4), 0.0);
         let exp = MemoryExperiment::new(&code, model, 25);
-        let est = exp.run(&MemoryConfig {
-            shots: 300,
-            ..Default::default()
-        });
+        let est = exp.run(
+            &MemoryConfig {
+                shots: 300,
+                ..Default::default()
+            },
+            None,
+        );
         assert!(
             est.ler < 0.1,
             "LER {} too high at p=1e-4 with zero latency",
@@ -1587,10 +1468,13 @@ mod tests {
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(0.2), 0.0);
         let exp = MemoryExperiment::new(&code, model, 10);
-        let est = exp.run(&MemoryConfig {
-            shots: 100,
-            ..Default::default()
-        });
+        let est = exp.run(
+            &MemoryConfig {
+                shots: 100,
+                ..Default::default()
+            },
+            None,
+        );
         assert!(est.ler > 0.2, "LER {} suspiciously low at p=0.2", est.ler);
     }
 
@@ -1608,9 +1492,9 @@ mod tests {
             threads: 0,
             seed: 0xC1C1_0DE5,
         };
-        let auto = exp.run(&base);
-        let single = exp.run(&MemoryConfig { threads: 1, ..base });
-        let four = exp.run(&MemoryConfig { threads: 4, ..base });
+        let auto = exp.run(&base, None);
+        let single = exp.run(&MemoryConfig { threads: 1, ..base }, None);
+        let four = exp.run(&MemoryConfig { threads: 4, ..base }, None);
         assert_eq!(auto.failures, single.failures);
         assert_eq!(auto.failures, four.failures);
         assert_eq!(auto.ler, single.ler);
@@ -1712,7 +1596,7 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let target = PrecisionTarget::new(0.35, 8, 5_000);
-        let adaptive = exp.run_adaptive(&config, &target);
+        let adaptive = exp.run(&config, Some(&target));
         assert!(adaptive.shots < 5_000, "high-failure point must stop early");
         assert!(target.met_by(adaptive.shots, adaptive.failures));
         assert!(
@@ -1722,10 +1606,13 @@ mod tests {
             ),
             "must stop at the *smallest* qualifying prefix"
         );
-        let fixed = exp.run(&MemoryConfig {
-            shots: adaptive.shots,
-            ..config
-        });
+        let fixed = exp.run(
+            &MemoryConfig {
+                shots: adaptive.shots,
+                ..config
+            },
+            None,
+        );
         assert_eq!(
             adaptive, fixed,
             "adaptive result must be the fixed result of its shot count"
@@ -1733,7 +1620,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_is_thread_and_batch_invariant() {
+    fn adaptive_is_thread_count_invariant() {
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(0.04), 0.0);
         let exp = MemoryExperiment::new(&code, model, 15);
@@ -1744,18 +1631,11 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let target = PrecisionTarget::new(0.4, 6, 2_000);
-        let reference = exp.run_adaptive_batched(&base, &target, 1);
-        for (threads, batch) in [(1usize, 7usize), (1, 64), (4, 1), (4, 32), (4, 997)] {
-            let got = exp.run_adaptive_batched(&MemoryConfig { threads, ..base }, &target, batch);
-            assert_eq!(
-                got, reference,
-                "threads={threads} batch={batch} diverged from the single-shot reference"
-            );
+        let reference = exp.run(&base, Some(&target));
+        for threads in [2, 3, 4, 8] {
+            let got = exp.run(&MemoryConfig { threads, ..base }, Some(&target));
+            assert_eq!(got, reference, "threads={threads} diverged from one worker");
         }
-        assert_eq!(
-            exp.run_adaptive(&MemoryConfig { threads: 4, ..base }, &target),
-            reference
-        );
     }
 
     #[test]
@@ -1772,22 +1652,25 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let target = PrecisionTarget::new(0.1, 1_000_000, 300);
-        let capped = exp.run_adaptive(&config, &target);
+        let capped = exp.run(&config, Some(&target));
         assert_eq!(capped.shots, 300);
         assert_eq!(
             capped,
-            exp.run(&MemoryConfig {
-                shots: 300,
-                ..config
-            })
+            exp.run(
+                &MemoryConfig {
+                    shots: 300,
+                    ..config
+                },
+                None
+            )
         );
         // A zero-shot cap is the empty estimate, like a zero-shot fixed config.
-        let empty = exp.run_adaptive(&config, &PrecisionTarget::new(0.1, 1, 0));
+        let empty = exp.run(&config, Some(&PrecisionTarget::new(0.1, 1, 0)));
         assert!(empty.is_empty());
     }
 
     #[test]
-    fn estimate_points_adaptive_mixes_fixed_and_adaptive_points() {
+    fn estimate_points_mixes_fixed_and_adaptive_points() {
         let code = bb_72_12_6().expect("valid");
         let config = MemoryConfig {
             shots: 150,
@@ -1795,38 +1678,22 @@ mod tests {
             threads: 4,
             seed: 0xC1C1_0DE5,
         };
-        let points = [
-            LerPoint {
-                code: &code,
-                p: 0.05,
-                latency: 0.0,
-                channel: None,
-            },
-            LerPoint {
-                code: &code,
-                p: 0.05,
-                latency: 0.0,
-                channel: None,
-            },
-        ];
         let target = PrecisionTarget::new(0.4, 6, 4_000);
-        let targets = [None, Some(target)];
-        let mixed = estimate_points_adaptive(&points, &targets, &config);
+        let points = [
+            point(&code, 0.05, 0.0, None, None),
+            point(&code, 0.05, 0.0, None, Some(target)),
+        ];
+        let mixed = estimate_points(&points, &config, None);
         // The fixed slot matches the plain fixed path ...
         assert_eq!(mixed[0], logical_error_rate(&code, 0.05, 0.0, &config));
-        // ... and the adaptive slot matches a direct adaptive run.
+        // ... and the adaptive slot matches a direct single-worker adaptive run.
         let model = HardwareNoiseModel::new(NoiseParameters::new(0.05), 0.0);
         let exp = MemoryExperiment::new(&code, model, config.bp_iterations);
-        assert_eq!(
-            mixed[1],
-            exp.run_adaptive(
-                &MemoryConfig {
-                    threads: 1,
-                    ..config
-                },
-                &target
-            )
-        );
+        let single = MemoryConfig {
+            threads: 1,
+            ..config
+        };
+        assert_eq!(mixed[1], exp.run(&single, Some(&target)));
     }
 
     #[test]
@@ -1856,26 +1723,11 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let points = [
-            LerPoint {
-                code: &code,
-                p: 2e-3,
-                latency: 0.0,
-                channel: None,
-            },
-            LerPoint {
-                code: &code,
-                p: 2e-3,
-                latency: 0.05,
-                channel: None,
-            },
-            LerPoint {
-                code: &code,
-                p: 8e-3,
-                latency: 0.01,
-                channel: None,
-            },
+            point(&code, 2e-3, 0.0, None, None),
+            point(&code, 2e-3, 0.05, None, None),
+            point(&code, 8e-3, 0.01, None, None),
         ];
-        let pooled = estimate_points(&points, &cfg);
+        let pooled = estimate_points(&points, &cfg, None);
         assert_eq!(pooled.len(), 3);
         for (point, est) in points.iter().zip(&pooled) {
             let direct = logical_error_rate(point.code, point.p, point.latency, &cfg);
@@ -1885,13 +1737,26 @@ mod tests {
         }
     }
 
+    /// A sweep point on `code`.
+    fn point<'a>(
+        code: &'a CssCode,
+        p: f64,
+        latency: f64,
+        channel: Option<&'a ChannelSpec>,
+        target: Option<PrecisionTarget>,
+    ) -> LerPoint<'a> {
+        LerPoint {
+            code,
+            p,
+            latency,
+            channel,
+            target,
+        }
+    }
+
     /// The serial reference of one sweep point: a fresh single-worker
-    /// experiment at the point's model and channel.
-    fn serial_estimate(
-        point: &LerPoint<'_>,
-        target: Option<&PrecisionTarget>,
-        config: &MemoryConfig,
-    ) -> LerEstimate {
+    /// experiment at the point's model, channel and target.
+    fn serial_estimate(point: &LerPoint<'_>, config: &MemoryConfig) -> LerEstimate {
         let single = MemoryConfig {
             threads: 1,
             ..*config
@@ -1905,12 +1770,11 @@ mod tests {
                 point.code.num_stabilizers(),
             ));
         }
-        match target {
+        match point.target {
             None if point.channel.is_none() => {
                 logical_error_rate(point.code, point.p, point.latency, &single)
             }
-            None => exp.run(&single),
-            Some(target) => exp.run_adaptive(&single, target),
+            target => exp.run(&single, target.as_ref()),
         }
     }
 
@@ -1924,22 +1788,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let code = bb_72_12_6().expect("valid");
         let biased = ChannelSpec::Biased { meas_ratio: 2.0 };
+        let adaptive = Some(PrecisionTarget::new(0.5, 3, 300));
         let points = [
-            (1e-4, 0.0, None),
-            (6e-2, 0.0, None),
-            (2e-3, 0.0, Some(&biased)),
-            (5e-3, 0.02, None),
-            (1e-3, 0.0, Some(&biased)),
-            (5e-4, 0.02, None),
-        ]
-        .map(|(p, latency, channel)| LerPoint {
-            code: &code,
-            p,
-            latency,
-            channel,
-        });
-        let adaptive = PrecisionTarget::new(0.5, 3, 300);
-        let targets = [None, None, None, Some(adaptive), Some(adaptive), None];
+            point(&code, 1e-4, 0.0, None, None),
+            point(&code, 6e-2, 0.0, None, None),
+            point(&code, 2e-3, 0.0, Some(&biased), None),
+            point(&code, 5e-3, 0.02, None, adaptive),
+            point(&code, 1e-3, 0.0, Some(&biased), adaptive),
+            point(&code, 5e-4, 0.02, None, None),
+        ];
+        let pools = [1, 2, 3, 8];
         for shots in [63, 64, 65, 1000] {
             let config = MemoryConfig {
                 shots,
@@ -1947,18 +1805,11 @@ mod tests {
                 threads: 1,
                 seed: 0xC1C1_0DE5,
             };
-            let serial: Vec<LerEstimate> = points
-                .iter()
-                .zip(&targets)
-                .map(|(point, target)| serial_estimate(point, target.as_ref(), &config))
-                .collect();
-            for threads in [1, 2, 3, 8] {
-                let pooled = estimate_points_adaptive_in(
-                    &points,
-                    &targets,
-                    &MemoryConfig { threads, ..config },
-                    Some(dir.as_path()),
-                );
+            let serial: Vec<LerEstimate> =
+                points.iter().map(|p| serial_estimate(p, &config)).collect();
+            for threads in pools {
+                let pooled =
+                    estimate_points(&points, &MemoryConfig { threads, ..config }, Some(&dir));
                 assert_eq!(pooled, serial, "shots={shots} threads={threads}");
             }
             // A one-point sweep: every worker but the owner joins its chunks.
@@ -1967,8 +1818,55 @@ mod tests {
                 threads: 4,
                 ..config
             };
-            let alone = estimate_points(&points[1..2], &four);
+            let alone = estimate_points(&points[1..2], &four, None);
             assert_eq!(alone, serial[1..2], "shots={shots} one point");
+        }
+
+        // Adaptive stragglers, which the rest of the pool joins: a heavy point
+        // whose target is met mid-chunk while other workers sample past it,
+        // one whose unmeetable target stops it at a cap that is not a
+        // multiple of 64, and one met on the last shot of a chunk, so the next
+        // chunk starts exactly at the stop and must still be discarded; next
+        // to light fixed and adaptive points.
+        let config = MemoryConfig {
+            shots: 100,
+            bp_iterations: 10,
+            threads: 1,
+            seed: 0xC1C1_0DE5,
+        };
+        let met = Some(PrecisionTarget::new(0.08, 1, 4_000));
+        let capped = Some(PrecisionTarget::new(0.1, 1_000_000, 1_000));
+        let boundary = Some(PrecisionTarget::new(1.0, 22, 4_000));
+        let stragglers = [
+            point(&code, 1e-4, 0.0, None, None),
+            point(&code, 2e-3, 0.0, Some(&biased), adaptive),
+            point(&code, 6e-2, 0.0, None, met),
+            point(&code, 6e-2, 0.01, Some(&biased), capped),
+            point(&code, 6e-2, 0.0, None, boundary),
+        ];
+        let serial: Vec<LerEstimate> = stragglers
+            .iter()
+            .map(|p| serial_estimate(p, &config))
+            .collect();
+        assert!(
+            serial[2].shots > 256 && serial[2].shots % 64 != 0,
+            "{:?}",
+            serial[2]
+        );
+        assert_eq!(serial[3].shots, 1_000);
+        assert_eq!(serial[4].shots, 128, "the 22nd failure is shot 128");
+        for threads in pools {
+            let pooled = estimate_points(&stragglers, &MemoryConfig { threads, ..config }, None);
+            assert_eq!(pooled, serial, "adaptive stragglers threads={threads}");
+            for i in [2, 4] {
+                let alone = &stragglers[i..=i];
+                let pool = MemoryConfig { threads, ..config };
+                assert_eq!(
+                    estimate_points(alone, &pool, None),
+                    serial[i..=i],
+                    "adaptive point {i} alone, threads={threads}"
+                );
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1996,38 +1894,27 @@ mod tests {
             threads: 10_000,
             ..serial
         };
-        let points = [
-            LerPoint {
-                code: &code,
-                p: 5e-3,
-                latency: 0.0,
-                channel: None,
-            },
-            LerPoint {
-                code: &code,
-                p: 2e-2,
-                latency: 0.0,
-                channel: None,
-            },
-        ];
         let target = PrecisionTarget::new(0.5, 2, 200);
-        let targets = [None, Some(target)];
+        let points = [
+            point(&code, 5e-3, 0.0, None, None),
+            point(&code, 2e-2, 0.0, None, Some(target)),
+        ];
         assert_eq!(
-            estimate_points_adaptive(&points, &targets, &huge),
-            estimate_points_adaptive(&points, &targets, &serial)
+            estimate_points(&points, &huge, None),
+            estimate_points(&points, &serial, None)
         );
         let model = HardwareNoiseModel::new(NoiseParameters::new(2e-2), 0.0);
         let exp = MemoryExperiment::new(&code, model, serial.bp_iterations);
-        assert_eq!(exp.run(&huge), exp.run(&serial));
+        assert_eq!(exp.run(&huge, None), exp.run(&serial, None));
         assert_eq!(
-            exp.run_adaptive(&huge, &target),
-            exp.run_adaptive(&serial, &target)
+            exp.run(&huge, Some(&target)),
+            exp.run(&serial, Some(&target))
         );
     }
 
     #[test]
     fn estimate_points_handles_empty_input() {
-        assert!(estimate_points(&[], &MemoryConfig::default()).is_empty());
+        assert!(estimate_points(&[], &MemoryConfig::default(), None).is_empty());
     }
 
     #[test]
@@ -2042,10 +1929,10 @@ mod tests {
             threads: 2,
             seed: 0xC1C1_0DE5,
         };
-        let scalar = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+        let scalar = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
         let channel = noise::ErrorChannel::uniform(code.num_qubits(), model.effective_error_rate());
-        let channeled =
-            MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations).run(&cfg);
+        let channeled = MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations)
+            .run(&cfg, None);
         assert_eq!(scalar, channeled);
     }
 
@@ -2063,7 +1950,7 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let p = model.effective_error_rate();
-        let uniform = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+        let uniform = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
         let biased = noise::ErrorChannel::biased(
             code.num_qubits(),
             code.num_stabilizers(),
@@ -2071,7 +1958,7 @@ mod tests {
             (20.0 * p).min(0.45),
         );
         let noisy =
-            MemoryExperiment::with_channel(&code, model, biased, cfg.bp_iterations).run(&cfg);
+            MemoryExperiment::with_channel(&code, model, biased, cfg.bp_iterations).run(&cfg, None);
         assert!(
             noisy.failures > uniform.failures,
             "strong measurement noise ({} failures) should beat uniform ({} failures)",
@@ -2100,22 +1987,20 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
-        let single = exp.run(&base);
-        let four = exp.run(&MemoryConfig { threads: 4, ..base });
+        let single = exp.run(&base, None);
+        let four = exp.run(&MemoryConfig { threads: 4, ..base }, None);
         assert_eq!(single, four);
     }
 
     #[test]
-    fn decode_warmup_preserves_bit_identity() {
-        // The structured-channel warm-up prefix (DECODE_WARMUP_SHOTS sampled once
-        // before a multi-worker pool fans out) must never change the estimate: it
-        // only pre-seeds caches, and the workers re-sample the prefix from the
-        // same per-shot streams. shots > DECODE_WARMUP_SHOTS so the warm-up
-        // actually engages on the multi-worker path.
+    fn decode_cache_dir_preserves_bit_identity_under_a_pool() {
+        // Persisted decode caches are pure decoder outputs: a single worker or a
+        // pool, starting from a cold or a warm directory, samples exactly the
+        // estimate of a run without one.
         let code = bb_72_12_6().expect("valid");
         let model = HardwareNoiseModel::new(NoiseParameters::new(5e-3), 0.0);
         let base = MemoryConfig {
-            shots: DECODE_WARMUP_SHOTS + 120,
+            shots: 312,
             bp_iterations: 15,
             threads: 1,
             seed: 0xC1C1_0DE5,
@@ -2123,31 +2008,28 @@ mod tests {
         let channel =
             noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 5e-3, 0.5);
         let mut exp = MemoryExperiment::with_channel(&code, model, channel, base.bp_iterations);
-        // A single worker never warms up: the unwarmed reference.
-        let reference = exp.run(&base);
-        // Multi-worker path: warm-up runs, workers clone the warm scratch.
-        assert_eq!(exp.run(&MemoryConfig { threads: 4, ..base }), reference);
-        // A single worker with a cache dir skips the warm-up too: its own
-        // scratch loads the files and persists what it sampled.
+        let reference = exp.run(&base, None);
+        let pool = MemoryConfig { threads: 4, ..base };
+        assert_eq!(exp.run(&pool, None), reference);
         let dir =
-            std::env::temp_dir().join(format!("cyclone-warmup-identity-{}", std::process::id()));
+            std::env::temp_dir().join(format!("cyclone-cache-dir-identity-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         exp.set_decode_cache_dir(Some(dir.clone()));
-        assert_eq!(exp.run(&base), reference, "cold persistent caches");
+        assert_eq!(exp.run(&base, None), reference, "cold persistent caches");
         let mut loaded = BatchScratch::new();
         assert!(
             exp.load_decode_caches(&dir, &mut loaded) > 0,
-            "a single worker must still persist its caches"
+            "a single worker must persist its caches"
         );
-        assert_eq!(exp.run(&base), reference, "warm persistent caches");
+        assert_eq!(exp.run(&base, None), reference, "warm persistent caches");
         assert_eq!(
-            exp.run(&MemoryConfig { threads: 4, ..base }),
+            exp.run(&pool, None),
             reference,
             "warm caches across a worker pool"
         );
         let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
-            exp.run(&MemoryConfig { threads: 4, ..base }),
+            exp.run(&pool, None),
             reference,
             "cold caches across a worker pool"
         );
@@ -2164,7 +2046,7 @@ mod tests {
             shots: 150,
             ..Default::default()
         };
-        let fresh = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+        let fresh = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
         let biased =
             noise::ErrorChannel::biased(code.num_qubits(), code.num_stabilizers(), 5e-3, 0.3);
         let mut exp = MemoryExperiment::with_channel(&code, model, biased, cfg.bp_iterations);
@@ -2174,7 +2056,7 @@ mod tests {
             exp.channel().uniform_rate(),
             Some(model.effective_error_rate())
         );
-        assert_eq!(exp.run(&cfg), fresh);
+        assert_eq!(exp.run(&cfg, None), fresh);
     }
 
     #[test]
@@ -2188,26 +2070,11 @@ mod tests {
         };
         let biased = ChannelSpec::Biased { meas_ratio: 20.0 };
         let points = [
-            LerPoint {
-                code: &code,
-                p: 5e-3,
-                latency: 0.0,
-                channel: None,
-            },
-            LerPoint {
-                code: &code,
-                p: 5e-3,
-                latency: 0.0,
-                channel: Some(&ChannelSpec::Uniform),
-            },
-            LerPoint {
-                code: &code,
-                p: 5e-3,
-                latency: 0.0,
-                channel: Some(&biased),
-            },
+            point(&code, 5e-3, 0.0, None, None),
+            point(&code, 5e-3, 0.0, Some(&ChannelSpec::Uniform), None),
+            point(&code, 5e-3, 0.0, Some(&biased), None),
         ];
-        let estimates = estimate_points(&points, &cfg);
+        let estimates = estimate_points(&points, &cfg, None);
         // None and an explicit Uniform spec are the same path ...
         assert_eq!(estimates[0], estimates[1]);
         assert_eq!(estimates[0], logical_error_rate(&code, 5e-3, 0.0, &cfg));
@@ -2235,8 +2102,9 @@ mod tests {
             seed: 0xC1C1_0DE5,
         };
         let exp = MemoryExperiment::with_channel(&code, model, channel.clone(), cfg.bp_iterations);
-        let a = exp.run(&cfg);
-        let b = MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations).run(&cfg);
+        let a = exp.run(&cfg, None);
+        let b = MemoryExperiment::with_channel(&code, model, channel, cfg.bp_iterations)
+            .run(&cfg, None);
         assert_eq!(a, b, "schedule-channel sampling must be deterministic");
         assert_eq!(a.shots, cfg.shots);
     }
@@ -2261,14 +2129,17 @@ mod tests {
         assert!(over.saturated());
         let at_max = noise::ErrorChannel::from_rates(vec![0.75; n], Vec::new());
         assert!(!at_max.saturated());
-        let a = MemoryExperiment::with_channel(&code, model, over, cfg.bp_iterations).run(&cfg);
-        let b = MemoryExperiment::with_channel(&code, model, at_max, cfg.bp_iterations).run(&cfg);
+        let a =
+            MemoryExperiment::with_channel(&code, model, over, cfg.bp_iterations).run(&cfg, None);
+        let b =
+            MemoryExperiment::with_channel(&code, model, at_max, cfg.bp_iterations).run(&cfg, None);
         assert_eq!(a, b, "saturated channel must sample at the maximum");
         // Below the old clamp nothing changes: 0.7 stays 0.7 and differs from
         // the saturated stream.
         let below = noise::ErrorChannel::from_rates(vec![0.7; n], Vec::new());
         assert!(!below.saturated());
-        let c = MemoryExperiment::with_channel(&code, model, below, cfg.bp_iterations).run(&cfg);
+        let c =
+            MemoryExperiment::with_channel(&code, model, below, cfg.bp_iterations).run(&cfg, None);
         assert_ne!(a.failures, 0);
         assert!(
             c.failures <= a.failures,
@@ -2368,10 +2239,10 @@ mod tests {
         };
 
         let mut exp = MemoryExperiment::with_channel(&code, model, channel.clone(), 20);
-        let cold = exp.run(&cfg);
+        let cold = exp.run(&cfg, None);
 
         exp.set_decode_cache_dir(Some(dir.clone()));
-        let writing = exp.run(&cfg);
+        let writing = exp.run(&cfg, None);
         assert_eq!(
             cold.failures, writing.failures,
             "cache dir must not change results"
@@ -2392,7 +2263,7 @@ mod tests {
             "persisted entries must load for the same context"
         );
         warm_exp.set_decode_cache_dir(Some(dir.clone()));
-        let warm = warm_exp.run(&cfg);
+        let warm = warm_exp.run(&cfg, None);
         assert_eq!(cold.failures, warm.failures);
         assert_eq!(cold.ler, warm.ler);
 
@@ -2421,10 +2292,10 @@ mod tests {
         // Adaptive runs accept the directory too and stay bit-identical.
         let target = PrecisionTarget::new(0.3, 1, 400);
         let plain = MemoryExperiment::with_channel(&code, model, channel.clone(), 20)
-            .run_adaptive(&cfg, &target);
+            .run(&cfg, Some(&target));
         let mut adaptive_exp = MemoryExperiment::with_channel(&code, model, channel, 20);
         adaptive_exp.set_decode_cache_dir(Some(dir.clone()));
-        let adaptive = adaptive_exp.run_adaptive(&cfg, &target);
+        let adaptive = adaptive_exp.run(&cfg, Some(&target));
         assert_eq!(plain.failures, adaptive.failures);
         assert_eq!(plain.shots, adaptive.shots);
 
@@ -2432,35 +2303,24 @@ mod tests {
     }
 
     #[test]
-    fn estimate_points_adaptive_in_matches_without_cache_dir() {
+    fn estimate_points_matches_without_cache_dir() {
         let dir = std::env::temp_dir().join(format!("points-cache-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let code = bb_72_12_6().expect("valid");
         let spec = ChannelSpec::Biased { meas_ratio: 2.0 };
         let points = [
-            LerPoint {
-                code: &code,
-                p: 4e-3,
-                latency: 0.0,
-                channel: Some(&spec),
-            },
-            LerPoint {
-                code: &code,
-                p: 4e-3,
-                latency: 0.0,
-                channel: None,
-            },
+            point(&code, 4e-3, 0.0, Some(&spec), None),
+            point(&code, 4e-3, 0.0, None, None),
         ];
-        let targets = [None, None];
         let cfg = MemoryConfig {
             shots: 200,
             bp_iterations: 20,
             threads: 2,
             seed: 0xC1C1_0DE5,
         };
-        let plain = estimate_points_adaptive(&points, &targets, &cfg);
-        let writing = estimate_points_adaptive_in(&points, &targets, &cfg, Some(dir.as_path()));
-        let warm = estimate_points_adaptive_in(&points, &targets, &cfg, Some(dir.as_path()));
+        let plain = estimate_points(&points, &cfg, None);
+        let writing = estimate_points(&points, &cfg, Some(&dir));
+        let warm = estimate_points(&points, &cfg, Some(&dir));
         for (a, b) in plain.iter().zip(&writing) {
             assert_eq!(a.failures, b.failures);
         }
@@ -2490,7 +2350,7 @@ mod tests {
             cfg.bp_iterations,
         );
         exp.set_model(HardwareNoiseModel::new(NoiseParameters::new(5e-3), 0.1));
-        let reused = exp.run(&cfg);
+        let reused = exp.run(&cfg, None);
         assert_eq!(fresh.failures, reused.failures);
         assert_eq!(fresh.ler, reused.ler);
     }

@@ -499,8 +499,8 @@ fn memory_experiment_is_deterministic_for_fixed_seed() {
         threads: 3,
         seed: 42,
     };
-    let a = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
-    let b = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg);
+    let a = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
+    let b = MemoryExperiment::new(&code, model, cfg.bp_iterations).run(&cfg, None);
     assert_eq!(
         a.failures, b.failures,
         "same seed and shot split must reproduce"
